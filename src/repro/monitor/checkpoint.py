@@ -85,6 +85,8 @@ _COUNTER_FIELDS = (
     "evicted_lru",
     "evicted_idle",
     "sessions_errored",
+    "decode_hits",
+    "decode_misses",
     "max_formula_size",
     "ticks",
 )

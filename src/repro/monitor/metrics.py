@@ -36,6 +36,8 @@ _SUMMED_FIELDS = (
     "sessions_errored",
     "intern_hits",
     "intern_misses",
+    "decode_hits",
+    "decode_misses",
     "cache_evictions",
     "cache_trims",
     "ticks",
@@ -61,6 +63,10 @@ class MonitorMetrics:
       ``"inconclusive"`` (evicted/EOF without a verdict) and ``"error"``;
     * ``intern_hits``/``intern_misses`` -- hash-cons deltas over the run
       (via :func:`repro.quickltl.intern_delta`);
+    * ``decode_hits``/``decode_misses`` -- state lines this monitor
+      parsed whose state the decoded-state table supplied vs decoded
+      through the reference path (see :mod:`repro.monitor.records`);
+      their sum is the number of state lines accepted;
     * ``cache_evictions``/``cache_trims`` -- what the bounded
       :class:`~repro.quickltl.ProgressionCaches` dropped;
     * ``queue_depth_samples`` -- ingest-queue depths sampled per drain;
@@ -84,6 +90,8 @@ class MonitorMetrics:
     verdicts: Dict[str, int] = field(default_factory=dict)
     intern_hits: int = 0
     intern_misses: int = 0
+    decode_hits: int = 0
+    decode_misses: int = 0
     cache_evictions: int = 0
     cache_trims: int = 0
     max_formula_size: int = 0
@@ -174,6 +182,8 @@ class MonitorMetrics:
             "intern_hits": self.intern_hits,
             "intern_misses": self.intern_misses,
             "intern_hit_ratio": round(self.intern_hit_ratio, 4),
+            "decode_hits": self.decode_hits,
+            "decode_misses": self.decode_misses,
             "cache_evictions": self.cache_evictions,
             "cache_trims": self.cache_trims,
             "max_formula_size": self.max_formula_size,
@@ -190,6 +200,8 @@ class MonitorMetrics:
             f"states={self.states_applied} "
             f"({self.states_per_s:.0f}/s) "
             f"sharing={self.sharing_ratio:.2f} "
+            f"decode_hits={self.decode_hits} "
+            f"decode_misses={self.decode_misses} "
             f"verdicts={sum(self.verdicts.values())} "
             f"evicted={self.sessions_evicted} "
             f"queue={queue_depth} "

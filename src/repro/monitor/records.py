@@ -25,16 +25,36 @@ never reads them, so they are *excluded* from :attr:`MonitorRecord.state_key`,
 the canonical cohort key the batcher groups by: two sessions observing
 semantically identical states land in one cohort even when their stream
 positions differ.  ELEMENT payloads omit fields at their defaults
-(``element_to_json``), and the key is computed from the canonical
-*re-encoding* of the parsed state, so input formatting (key order,
-whitespace, explicit defaults) can never split a cohort.
+(``element_to_json``), and :func:`state_key` re-encodes the *decoded*
+snapshot, so input formatting (key order, whitespace, explicit
+defaults) can never split a cohort.
+
+Decoding goes through a process-wide *decoded-state table*: after
+``json.loads``, :func:`parse_record` takes ``version``/``timestamp_ms``
+out of the state object and looks the rest up by its compact,
+sorted-key JSON re-encoding.  That re-encoding is one-to-one on parsed
+JSON values (``true``, ``1`` and ``1.0`` stay apart), so equal lookup
+keys mean the same validation outcome and the same cohort key.  Only a
+miss runs the reference decoder (:func:`snapshot_from_json` +
+:func:`state_key`) and stores its result; a hit validates the record's
+own ``version``/``timestamp_ms`` and reuses the stored snapshot (or a
+copy sharing its ``queries``/``happened`` when they differ), and marks
+the record :attr:`MonitorRecord.table_hit`.
+
+The table is cleared when a miss would take it past
+:data:`DECODED_STATES_MAX` states or :data:`DECODED_CHARS_MAX`
+characters of lookup keys, so memory stays bounded under any stream.
+Decoded objects cost about seven times their lookup key, so a full
+table holds at most about 7 MB (measured with ``tracemalloc`` on
+states from one ``happened`` entry to 200 TodoMVC-style list items).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+import math
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..specstrom.state import ElementSnapshot, StateSnapshot
 
@@ -47,7 +67,10 @@ __all__ = [
     "snapshot_from_json",
     "state_key",
     "encode_record",
+    "session_tag",
     "parse_record",
+    "DECODED_STATES_MAX",
+    "DECODED_CHARS_MAX",
     "trace_records",
 ]
 
@@ -64,6 +87,8 @@ class MonitorRecord:
     state: Optional[StateSnapshot]  # None for end records
     state_key: Optional[str]  # canonical cohort key; None for end records
     end: bool = False
+    #: The state came from the decoded-state table (not compared).
+    table_hit: bool = field(default=False, compare=False)
 
 
 # ----------------------------------------------------------------------
@@ -161,20 +186,29 @@ def snapshot_from_json(data: object) -> StateSnapshot:
     happened = data.get("happened", [])
     if not isinstance(happened, list) or not all(isinstance(h, str) for h in happened):
         raise RecordError("state 'happened' must be a list of strings")
-    version = data.get("version", 0)
-    if not isinstance(version, int) or isinstance(version, bool):
-        raise RecordError("state 'version' must be an integer")
-    timestamp_ms = data.get("timestamp_ms", 0.0)
-    if isinstance(timestamp_ms, int) and not isinstance(timestamp_ms, bool):
-        timestamp_ms = float(timestamp_ms)
-    if not isinstance(timestamp_ms, float):
-        raise RecordError("state 'timestamp_ms' must be a number")
+    version, timestamp_ms = _state_meta(
+        data.get("version", 0), data.get("timestamp_ms", 0.0)
+    )
     return StateSnapshot(
         queries=queries,
         happened=tuple(happened),
         version=version,
         timestamp_ms=timestamp_ms,
     )
+
+
+def _state_meta(version: object, timestamp_ms: object) -> Tuple[int, float]:
+    """Validate a state's ``version``/``timestamp_ms`` bookkeeping."""
+    if not isinstance(version, int) or isinstance(version, bool):
+        raise RecordError("state 'version' must be an integer")
+    if isinstance(timestamp_ms, int) and not isinstance(timestamp_ms, bool):
+        try:
+            timestamp_ms = float(timestamp_ms)
+        except OverflowError:
+            raise RecordError("state 'timestamp_ms' is out of range") from None
+    if not isinstance(timestamp_ms, float):
+        raise RecordError("state 'timestamp_ms' must be a number")
+    return version, timestamp_ms
 
 
 def state_key(state: StateSnapshot) -> str:
@@ -210,27 +244,92 @@ def encode_record(
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def session_tag(value: object) -> Optional[str]:
+    """A record's canonical session id, or ``None`` if ``value`` is not
+    a valid tag (integers become their decimal string)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        value = str(value)
+    if isinstance(value, str) and value:
+        return value
+    return None
+
+
+# ----------------------------------------------------------------------
+# Decoded-state table
+# ----------------------------------------------------------------------
+
+#: Most states the decoded-state table holds.
+DECODED_STATES_MAX = 4096
+
+#: Most characters of lookup keys the decoded-state table holds.
+DECODED_CHARS_MAX = 1 << 20
+
+#: lookup key (compact sorted JSON of the state minus its bookkeeping)
+#: -> (reference-decoded snapshot, canonical cohort key)
+_decoded: Dict[str, Tuple[StateSnapshot, str]] = {}
+_decoded_chars = 0
+
+_lookup_key = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+).encode
+
+
+def _decode_state(payload: dict) -> Tuple[StateSnapshot, str, bool]:
+    """The snapshot and cohort key of one parsed ``state`` object, and
+    whether the decoded-state table supplied them."""
+    global _decoded_chars
+    version = payload.pop("version", 0)
+    timestamp_ms = payload.pop("timestamp_ms", 0.0)
+    lookup = _lookup_key(payload)
+    entry = _decoded.get(lookup)
+    if entry is None:
+        payload["version"] = version
+        payload["timestamp_ms"] = timestamp_ms
+        snapshot = snapshot_from_json(payload)
+        key = state_key(snapshot)
+        if (len(_decoded) >= DECODED_STATES_MAX
+                or _decoded_chars + len(lookup) > DECODED_CHARS_MAX):
+            _decoded.clear()
+            _decoded_chars = 0
+        _decoded[lookup] = (snapshot, key)
+        _decoded_chars += len(lookup)
+        return snapshot, key, False
+    stored, key = entry
+    version, timestamp_ms = _state_meta(version, timestamp_ms)
+    if (
+        version == stored.version
+        and timestamp_ms == stored.timestamp_ms
+        and (timestamp_ms or math.copysign(1.0, timestamp_ms)
+             == math.copysign(1.0, stored.timestamp_ms))
+    ):
+        return stored, key, True
+    return StateSnapshot(
+        queries=stored.queries,
+        happened=stored.happened,
+        version=version,
+        timestamp_ms=timestamp_ms,
+    ), key, True
+
+
 def parse_record(line: str) -> Optional[MonitorRecord]:
     """Parse one wire line; blank lines give ``None``.
 
     Raises :class:`RecordError` for anything malformed: invalid JSON
-    (including a partial line from a torn write), a missing/ill-typed
-    session tag, a record that is neither a state nor an end mark, or a
-    state payload that fails validation.
+    (including a partial line from a torn write, or nesting too deep to
+    decode), a missing/ill-typed session tag, a record that is neither
+    a state nor an end mark, or a state payload that fails validation.
     """
     text = line.strip()
     if not text:
         return None
     try:
         data = json.loads(text)
-    except ValueError as error:
+    except (ValueError, RecursionError) as error:
         raise RecordError(f"invalid JSON: {error}") from None
     if not isinstance(data, dict):
         raise RecordError(f"record must be an object, got {type(data).__name__}")
-    session = data.get("session")
-    if isinstance(session, int) and not isinstance(session, bool):
-        session = str(session)
-    if not isinstance(session, str) or not session:
+    session = session_tag(data.get("session"))
+    if session is None:
         raise RecordError("record needs a non-empty 'session' tag")
     end = data.get("end", False)
     if end is not False and end is not True:
@@ -243,12 +342,12 @@ def parse_record(line: str) -> Optional[MonitorRecord]:
                              end=True)
     if not has_state:
         raise RecordError("record carries neither 'state' nor 'end'")
-    snapshot = snapshot_from_json(data["state"])
-    return MonitorRecord(
-        session_id=session,
-        state=snapshot,
-        state_key=state_key(snapshot),
-    )
+    payload = data["state"]
+    if not isinstance(payload, dict):
+        snapshot_from_json(payload)  # raises the reference decoder's error
+    snapshot, key, hit = _decode_state(payload)
+    return MonitorRecord(session_id=session, state=snapshot, state_key=key,
+                         table_hit=hit)
 
 
 def trace_records(

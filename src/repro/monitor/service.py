@@ -171,6 +171,11 @@ class Monitor:
                 self._quarantine.append((line.strip(), str(error)))
             return
         if record is not None:
+            if record.state is not None:
+                if record.table_hit:
+                    self.metrics.decode_hits += 1
+                else:
+                    self.metrics.decode_misses += 1
             self.feed_record(record)
 
     def feed_record(self, record: MonitorRecord) -> None:
@@ -460,7 +465,7 @@ class Monitor:
                 if now - last_beat >= heartbeat_s:
                     last_beat = now
                     print(
-                        self.metrics.heartbeat_line(queue.depth()),
+                        self.report().metrics.heartbeat_line(queue.depth()),
                         file=heartbeat_stream,
                         flush=True,
                     )

@@ -4,9 +4,9 @@ The single-process :class:`~repro.monitor.service.Monitor` progresses
 every session on one core.  :class:`ShardedMonitor` keeps that monitor
 *exactly as it is* and scales it sideways: a dispatcher drains the
 ingest stream, routes every line by a cheap hash of its session id
-(peeked without a full JSON parse -- see :func:`peek_session_id`), and
-feeds N worker processes, each running today's ``Monitor`` -- its own
-:class:`~repro.monitor.table.SessionTable`,
+(read exactly as the decoder reads it -- see :func:`peek_session_id`),
+and feeds N worker processes, each running today's ``Monitor`` -- its
+own :class:`~repro.monitor.table.SessionTable`,
 :class:`~repro.monitor.batch.BatchProgressor` and
 :class:`~repro.quickltl.ProgressionCaches` -- over a
 :class:`~repro.artifact.build.CompiledSpec` shipped as artifact bytes,
@@ -63,6 +63,7 @@ from .checkpoint import (
 )
 from .ingest import IngestQueue
 from .metrics import MonitorMetrics
+from .records import session_tag
 from .service import (
     _QUARANTINE_SAMPLES,
     Monitor,
@@ -85,80 +86,23 @@ __all__ = [
 
 
 def peek_session_id(line: str) -> Optional[str]:
-    """The record's top-level ``"session"`` value, without a full parse.
+    """The record's top-level ``"session"`` value, as
+    :func:`~repro.monitor.records.parse_record` decodes it.
 
-    A depth- and string-aware scan over the raw line: only a key at
-    object depth 1 named ``session`` matches (a nested ``"session"``
-    inside the state payload never mis-routes), string values are
-    JSON-decoded (escapes intact) and integer values canonicalised to
-    their decimal string, exactly like
-    :func:`~repro.monitor.records.parse_record`.  Returns ``None`` for
-    anything else -- blank lines, non-objects, a missing or ill-typed
-    tag -- which the router sends to shard 0, whose monitor quarantines
-    it through the ordinary malformed-record path.
+    The stripped line goes through the same ``json.loads`` and
+    :func:`~repro.monitor.records.session_tag` as the decoder, so for
+    every line ``parse_record`` accepts this returns exactly its
+    ``session_id`` (the last of duplicate keys wins, escaped key names
+    count, integers become their decimal string).  Returns ``None`` for
+    blank lines, invalid JSON, non-objects and a missing or ill-typed
+    tag, which the router sends to shard 0, whose monitor quarantines
+    them through the ordinary malformed-record path.
     """
-    text = line.strip()
-    if not text or text[0] != "{":
+    try:
+        data = json.loads(line.strip())
+    except (ValueError, RecursionError):
         return None
-    i, n = 1, len(text)
-    depth = 1
-    while i < n:
-        char = text[i]
-        if char == '"':
-            # Scan one string token (key or value).
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == '"':
-                    break
-                j += 1
-            if j >= n:
-                return None
-            raw = text[i:j + 1]
-            i = j + 1
-            while i < n and text[i] in " \t\r\n":
-                i += 1
-            if i < n and text[i] == ":" and depth == 1 and raw == '"session"':
-                i += 1
-                while i < n and text[i] in " \t\r\n":
-                    i += 1
-                if i >= n:
-                    return None
-                value = text[i]
-                if value == '"':
-                    j = i + 1
-                    while j < n:
-                        if text[j] == "\\":
-                            j += 2
-                            continue
-                        if text[j] == '"':
-                            break
-                        j += 1
-                    if j >= n:
-                        return None
-                    try:
-                        decoded = json.loads(text[i:j + 1])
-                    except ValueError:
-                        return None
-                    return decoded or None
-                j = i + (1 if value == "-" else 0)
-                start = j
-                while j < n and text[j].isdigit():
-                    j += 1
-                if j == start or (j < n and text[j] in ".eE"):
-                    return None  # not a plain integer
-                return str(int(text[i:j]))
-            continue
-        if char in "{[":
-            depth += 1
-        elif char in "}]":
-            depth -= 1
-            if depth <= 0:
-                return None
-        i += 1
-    return None
+    return session_tag(data.get("session")) if isinstance(data, dict) else None
 
 
 class ShardRouter:

@@ -16,10 +16,11 @@ from repro.monitor.synth import synth_lines
 from repro.specs import load_eggtimer_spec
 
 #: Metrics keys that legitimately differ across a process restart
-#: (cache warmth, round counts, wall clock).
+#: (cache and decoded-state table warmth, round counts, wall clock).
 _RESTART_SENSITIVE = {
     "cohort_steps", "sharing_ratio", "intern_hits", "intern_misses",
-    "intern_hit_ratio", "cache_evictions", "cache_trims", "ticks",
+    "intern_hit_ratio", "decode_hits", "decode_misses",
+    "cache_evictions", "cache_trims", "ticks",
     "wall_s", "states_per_s", "max_queue_depth",
 }
 
@@ -104,6 +105,25 @@ class TestResumeEquivalence:
         for group in shared_before.values():
             ids_after = {id(restored[session_id]) for session_id in group}
             assert len(ids_after) == 1
+
+    def test_decode_counters_stay_cumulative_across_restore(
+        self, check, lines, tmp_path
+    ):
+        # How hits and misses split depends on how warm the
+        # process-wide decoded-state table is; their sum does not.
+        states = sum('"state"' in line for line in lines)
+        _, full = _run(check, lines)
+        assert full.metrics.decode_hits + full.metrics.decode_misses == states
+
+        directory = str(tmp_path / "ckpt")
+        first = Monitor(check)
+        for line in lines[: len(lines) // 2]:
+            first.feed_line(line)
+        first.checkpoint_to(directory)
+        _, resumed = _run(check, lines[len(lines) // 2:],
+                          restore_dir=directory)
+        decoded = resumed.metrics.decode_hits + resumed.metrics.decode_misses
+        assert decoded == states
 
     def test_late_records_stay_late_across_restore(self, check, tmp_path):
         lines = list(synth_lines(sessions=3, seed=5))

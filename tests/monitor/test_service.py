@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.monitor import records
 from repro.monitor.records import trace_records
 from repro.monitor.replay import interleave_sessions, monitor_verdicts
 from repro.monitor.service import Monitor
@@ -192,6 +193,20 @@ class TestQuarantine:
         # The well-formed frames around the garbage still progress.
         assert [v.verdict for v in verdicts] == ["PROBABLY_TRUE"]
 
+    def test_hostile_nesting_is_quarantined_not_fatal(self, safety):
+        """Regression: a line nested deeper than ``json.loads`` can
+        recurse used to escape ``feed_line`` as a RecursionError and
+        take every live session down with it."""
+        monitor, verdicts = collect(safety)
+        lines = list(trace_records("h", _countdown(2), end=True))
+        lines.insert(1, "[" * 100_000)
+        lines.insert(2, '{"session": "h", "state": ' + "[" * 100_000)
+        report = monitor.run_lines(lines)
+        assert report.metrics.malformed_records == 2
+        assert all("invalid JSON" in error
+                   for _line, error in report.quarantine)
+        assert [v.verdict for v in verdicts] == ["PROBABLY_TRUE"]
+
     def test_quarantine_samples_are_capped(self, safety):
         monitor, _ = collect(safety)
         report = monitor.run_lines("garbage" for _ in range(30))
@@ -265,3 +280,45 @@ class TestReport:
         payload = report.to_dict()
         assert payload["event"] == "monitor_end"
         assert payload["metrics"]["verdicts"] == {"PROBABLY_TRUE": 30}
+
+    def test_decode_counters_cover_every_state_record(
+        self, safety, monkeypatch
+    ):
+        # Start from an empty decoded-state table, so that neither
+        # earlier tests nor a clear mid-run can move the cold/warm split.
+        monkeypatch.setattr(records, "_decoded", {})
+        monkeypatch.setattr(records, "_decoded_chars", 0)
+        traces, _ = synth_traces(seed=2, sessions=30, fault_rate=0.0)
+        lines = list(interleave_sessions({
+            sid: trace_records(sid, trace) for sid, trace in traces.items()
+        }))
+        states = sum(len(trace) for trace in traces.values())
+        cold = Monitor(safety).run_lines(lines).metrics
+        assert cold.decode_hits + cold.decode_misses == states
+        assert cold.decode_misses == len(records._decoded)
+        # The table is process-wide: the same states again are all hits.
+        warm = Monitor(safety).run_lines(lines).metrics
+        assert (warm.decode_hits, warm.decode_misses) == (states, 0)
+        payload = warm.to_dict()
+        assert payload["decode_hits"] == states
+        assert payload["decode_misses"] == 0
+        assert f"decode_hits={states} decode_misses=0" in warm.heartbeat_line()
+
+    def test_heartbeat_reports_live_decode_counters(self, safety):
+        import io
+        import re
+
+        from repro.monitor.ingest import IngestQueue
+
+        states = _countdown(3)
+        queue = IngestQueue()
+        for line in trace_records("h", states, end=True):
+            queue.put(line)
+        queue.close()
+        stream = io.StringIO()
+        Monitor(safety).run_queue(queue, heartbeat_s=0.0,
+                                  heartbeat_stream=stream)
+        beat = stream.getvalue().splitlines()[-1]
+        hits, misses = map(int, re.search(
+            r"decode_hits=(\d+) decode_misses=(\d+)", beat).groups())
+        assert hits + misses == len(states)

@@ -1,10 +1,13 @@
 """The sharded monitor: routing, equivalence, merge, checkpoint layouts."""
 
 import collections
+import json
 import multiprocessing
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.artifact.resolver import SpecResolver
 from repro.monitor.checkpoint import (
@@ -14,6 +17,7 @@ from repro.monitor.checkpoint import (
     prune_shard_checkpoints,
     shard_checkpoint_path,
 )
+from repro.monitor.records import RecordError, parse_record
 from repro.monitor.replay import monitor_verdicts
 from repro.monitor.service import Monitor
 from repro.monitor.shard import (
@@ -25,6 +29,7 @@ from repro.monitor.shard import (
 )
 from repro.monitor.synth import synth_lines, synth_traces
 from repro.specs import spec_path
+from tests.strategies import examples
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +65,48 @@ def run_sharded(spec, lines, shards, transport, **kwargs):
     return verdicts, report
 
 
+_SPACE = st.sampled_from(["", " ", "\n", "\t "])
+_SESSION_KEYS = st.sampled_from(
+    ['"session"', '"\\u0073ession"', '"sessio\\u006e"', '"Session"']
+)
+_IDS = st.one_of(
+    st.text(alphabet='ab"\\{}[]:, \u00e9', max_size=4),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.sampled_from([True, 1.5, None, [], {}]),
+)
+_NESTED = st.sampled_from([
+    '{"queries":{}}',
+    '{"queries":{"#x":[{"tag":"session"}]}}',
+    '{"session":"nested"}',
+    '{"queries":{"session":[]},"happened":["session"]}',
+    '{"queries":{"#y":[{"tag":"i","text":"{[\\"session\\":"}]}}',
+])
+
+
+@st.composite
+def _session_lines(draw):
+    """Wire lines with duplicate, escaped and nested session keys, every
+    id type and arbitrary spacing -- most of them still accepted."""
+    members = []
+    for key in draw(st.lists(_SESSION_KEYS, min_size=1, max_size=3)):
+        members.append((key, json.dumps(draw(_IDS),
+                                         ensure_ascii=draw(st.booleans()))))
+    if draw(st.booleans()):
+        members.append(('"end"', "true"))
+    else:
+        members.append(('"state"', draw(_NESTED)))
+    members = draw(st.permutations(members))
+
+    def space():
+        return draw(_SPACE)
+
+    body = ",".join(
+        f"{space()}{key}{space()}:{space()}{value}{space()}"
+        for key, value in members
+    )
+    return space() + "{" + body + "}" + space()
+
+
 class TestPeek:
     def test_top_level_session_key(self):
         assert peek_session_id('{"session":"abc","state":{}}') == "abc"
@@ -76,6 +123,37 @@ class TestPeek:
 
     def test_escapes_survive_the_peek(self):
         assert peek_session_id('{"session": "a\\"b"}') == 'a"b'
+
+    def test_last_duplicate_key_wins_like_json_loads(self):
+        line = '{"session":"a","end":true,"session":"b"}'
+        assert peek_session_id(line) == parse_record(line).session_id == "b"
+
+    def test_escaped_key_names_decode_like_json_loads(self):
+        line = '{"\\u0073ession":"x","end":true}'
+        assert peek_session_id(line) == parse_record(line).session_id == "x"
+
+    def test_hostile_lines_never_raise(self):
+        for line in ("[" * 100_000, '{"session": ' + "1" * 5000 + "}",
+                     '{"a": "\\"' + "{" * 100_000):
+            assert peek_session_id(line) is None
+
+    @given(line=st.text(max_size=60))
+    @examples(200)
+    def test_arbitrary_text_never_raises(self, line):
+        peek_session_id(line)
+
+    @given(line=st.data())
+    @examples(300)
+    def test_peek_agrees_with_parse_record(self, line):
+        """For every line the decoder accepts, the router sees the same
+        session id -- otherwise one session could split across shards."""
+        text = line.draw(_session_lines())
+        try:
+            record = parse_record(text)
+        except RecordError:
+            return
+        if record is not None:
+            assert peek_session_id(text) == record.session_id
 
     def test_garbage_peeks_to_none(self):
         for line in ("", "   ", "not json", "[1,2]", '{"session": 1.5}',
@@ -172,6 +250,32 @@ class TestProcessTransport:
         data = report.to_dict()
         assert data["shards"] == 2
         assert len(data["shard_metrics"]) == 2
+
+    def test_hostile_lines_quarantine_in_the_workers(self, bundle, safety):
+        """Regression: a line too deeply nested to decode is one
+        malformed record on its shard, never a dead worker."""
+        lines = list(synth_lines(seed=0, sessions=20, fault_rate=0.2))
+        lines.insert(5, "[" * 100_000)
+        lines.insert(9, lines[8][: len(lines[8]) // 2])
+        single, single_report = run_single(safety, lines)
+        for transport in ("inline", "process"):
+            sharded, report = run_sharded(bundle, lines, 2, transport)
+            assert verdict_multiset(sharded) == verdict_multiset(single)
+            assert report.metrics.malformed_records == 2
+            assert report.metrics.verdicts == single_report.metrics.verdicts
+
+    @pytest.mark.parametrize("transport", ["inline", "process"])
+    def test_decode_counters_sum_over_shards(self, bundle, transport):
+        # Inline shards share one process and so one decoded-state
+        # table; each must still count only the lines it parsed.
+        lines = list(synth_lines(seed=4, sessions=24, fault_rate=0.0))
+        states = sum('"state"' in line for line in lines)
+        _, report = run_sharded(bundle, lines, 2, transport)
+        parts = report.shard_metrics
+        merged = report.metrics
+        assert merged.decode_hits == sum(m.decode_hits for m in parts)
+        assert merged.decode_misses == sum(m.decode_misses for m in parts)
+        assert merged.decode_hits + merged.decode_misses == states
 
     def test_process_transport_requires_a_bundle(self, safety):
         with pytest.raises(TypeError, match="artifact bytes"):

@@ -1,10 +1,10 @@
 """Fuzzing throughput: scenario diversity per second, and its overhead.
 
 The differential fuzzer runs every generated campaign *four times*
-(serial reference, pooled, warm-reuse, full-capture for the narrowed-
-observation oracle) plus a trace-level re-evaluation under the direct
-reference semantics -- scenario diversity is only useful if that
-multiplier stays cheap enough to run at CI scale.  This bench records:
+(serial reference, pooled, warm-reuse, async), then re-evaluates the
+serial leg's traces under the direct reference semantics and replays
+them through the online monitor -- scenario diversity is only useful
+if that multiplier stays cheap enough to run at CI scale.  This bench records:
 
 * **throughput**: generated campaigns (and generated tests) per second
   through the full differential harness (`run_fuzz`),
@@ -14,7 +14,7 @@ multiplier stays cheap enough to run at CI scale.  This bench records:
 
 The run doubles as a correctness smoke at bench scale: any divergence
 fails the bench outright (the fuzzer's whole claim is that the four
-legs and the reference semantics agree).
+legs, the reference semantics and the monitor agree).
 
 Results land in ``benchmarks/out/fuzz_throughput.json`` (a CI artifact).
 

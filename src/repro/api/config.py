@@ -2,13 +2,11 @@
 
 ``CheckSession.check / check_many / check_all`` grew one keyword at a
 time -- ``jobs``, ``reuse_executors``, reporter lists, with runner
-flags (``stop_on_failure``, ``narrow_queries``, ``shrink``) squeezed
-into per-call :class:`~repro.checker.config.RunnerConfig` rebuilds --
-and the CLI re-assembled the same bundle from ``argparse`` flags by
-hand.  :class:`SessionConfig` is that bundle as one value::
+flags (``stop_on_failure``, ``shrink``) squeezed into per-call
+:class:`~repro.checker.config.RunnerConfig` rebuilds -- and the CLI
+re-assembled the same bundle from ``argparse`` flags by hand.  :class:`SessionConfig` is that bundle as one value::
 
-    cfg = SessionConfig(jobs=8, reuse_executors=False,
-                        narrow_queries=False)
+    cfg = SessionConfig(jobs=8, reuse_executors=False, shrink=False)
     session.check_many(targets, spec=spec, session=cfg)
 
 The old bare keywords (``jobs=`` / ``reporters=`` /
@@ -24,9 +22,9 @@ caller sets them together:
   :class:`~repro.api.transport.PoolTransport` instance such as
   :class:`~repro.api.transport.TcpTransport`), ``reuse_executors``,
   ``reporters``;
-* **runner overrides** -- ``stop_on_failure`` / ``narrow_queries`` /
-  ``shrink``, tri-state (``None`` = keep whatever the
-  :class:`RunnerConfig` says), overlaid by :meth:`SessionConfig.runner_config`.
+* **runner overrides** -- ``stop_on_failure`` / ``shrink``, tri-state
+  (``None`` = keep whatever the :class:`RunnerConfig` says), overlaid
+  by :meth:`SessionConfig.runner_config`.
 """
 
 from __future__ import annotations
@@ -43,7 +41,8 @@ __all__ = ["SessionConfig"]
 @dataclass
 class SessionConfig:
     """How one scheduled batch should run (not *what* it checks --
-    that's the targets/spec/``RunnerConfig``)."""
+    that's the targets/spec/``RunnerConfig``): pool width, transport,
+    executor reuse, reporters, and the two runner overrides."""
 
     #: Pool width: an int, ``"auto"`` (adaptive from the previous
     #: batch's metrics, clamped to the transport capacity), or ``None``
@@ -59,7 +58,6 @@ class SessionConfig:
     reporters: Optional[Sequence[object]] = None
     #: Tri-state RunnerConfig overrides (None = leave as configured).
     stop_on_failure: Optional[bool] = None
-    narrow_queries: Optional[bool] = None
     shrink: Optional[bool] = None
 
     def runner_config(
@@ -71,7 +69,6 @@ class SessionConfig:
             name: value
             for name, value in (
                 ("stop_on_failure", self.stop_on_failure),
-                ("narrow_queries", self.narrow_queries),
                 ("shrink", self.shrink),
             )
             if value is not None

@@ -112,8 +112,8 @@ def campaign_tasks(
     warm_watched = getattr(runner, "watched_events", None)
     if warm_watched is not None:
         warm_watched()
-    # Likewise warm the compiled property (action footprint + shared
-    # progression caches) before the fork, so every worker inherits it
+    # Likewise warm the compiled property (shared progression caches)
+    # before the fork, so every worker inherits it
     # copy-on-write instead of rebuilding per process.  A runner that
     # came through the artifact pipeline adopted the artifact's
     # pre-seeded bundle at construction, so this warms *from the

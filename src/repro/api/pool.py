@@ -96,8 +96,8 @@ class PoolMetrics:
       test's checker recorded;
     * ``query_width_sum`` / ``query_width_states`` -- total captured
       query entries over total observed states
-      (:attr:`mean_query_width`); under residual-driven narrowing the
-      mean drops below the spec's full dependency-set width.
+      (:attr:`mean_query_width`), the mean snapshot size; every
+      snapshot captures the spec's whole dependency set.
     """
 
     jobs: int = 1

@@ -5,7 +5,7 @@ interning) is pure, so its output can be a *build product*.  This
 package persists a compiled spec as a versioned on-disk artifact --
 hash-consed formula DAG in a topological encoding that re-interns on
 load, deferred bodies rebuilt from provenance, pre-seeded progression
-caches, action/selector footprints and property metadata -- so cold
+caches and property metadata -- so cold
 processes (CLI runs, forked pools, remote TCP workers) load instead of
 re-elaborating.  See :mod:`.format` for the container layout,
 :mod:`.codec` for the object encoding, :mod:`.build` for the

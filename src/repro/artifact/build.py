@@ -116,7 +116,6 @@ class CompiledSpec:
         """Human-readable per-check summary for the artifact header."""
         entries = []
         for check in self.module.checks:
-            prop = self.properties[check.name]
             entries.append(
                 {
                     "name": check.name,
@@ -124,11 +123,6 @@ class CompiledSpec:
                     "dependencies": sorted(check.dependencies),
                     "actions": [action.name for action in check.actions],
                     "events": [event.name for event in check.events],
-                    "action_footprint": (
-                        sorted(prop.action_dependencies)
-                        if prop.action_dependencies is not None
-                        else None
-                    ),
                 }
             )
         return entries

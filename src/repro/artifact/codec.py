@@ -68,7 +68,6 @@ def _defer_shell(name: str) -> Defer:
 def _restore_defer(node: Defer, provenance: DeferProvenance) -> None:
     rebuilt = rebuild_defer(provenance)
     object.__setattr__(node, "build", rebuilt.build)
-    object.__setattr__(node, "footprint", rebuilt.footprint)
     object.__setattr__(node, "provenance", rebuilt.provenance)
 
 

@@ -1,6 +1,6 @@
 """The Quickstrom checker: test loop, results, shrinking."""
 
-from .compiled import CompiledProperty, CompiledSpec
+from .compiled import CompiledProperty
 from .config import RunnerConfig
 from .result import TestResult, Counterexample, CampaignResult
 from .runner import Runner, check_spec
@@ -8,7 +8,6 @@ from .shrink import shrink_counterexample
 
 __all__ = [
     "CompiledProperty",
-    "CompiledSpec",
     "RunnerConfig",
     "TestResult",
     "Counterexample",

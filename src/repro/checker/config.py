@@ -23,13 +23,11 @@ class RunnerConfig:
     testing time is dominated by waiting, so simulated time is the
     meaningful cost model (and is what the benchmarks report).
 
-    ``narrow_queries`` lets the runner send ``Narrow`` protocol messages
-    so the executor only captures the queries the progressed formula
-    can still read (plus everything the spec's actions need).  Verdicts
-    and counterexample action sequences are identical either way -- the
-    narrowed states simply omit query entries the run provably never
-    reads; disable it for full-capture traces (e.g. when archiving
-    states for offline analysis, or as the fuzz oracles' reference leg).
+    ``shrink`` minimises a failing test's counterexample by replay, and
+    ``stop_on_failure`` ends the campaign at the first failing test.
+    Every state the executor reports captures the spec's whole
+    dependency set (the selectors of the session's ``Start``), so
+    traces are complete whatever the formula still reads.
     """
 
     tests: int = 20
@@ -42,7 +40,6 @@ class RunnerConfig:
     max_states: int = 5000
     shrink: bool = True
     stop_on_failure: bool = True
-    narrow_queries: bool = True
 
     def __post_init__(self) -> None:
         """Fail fast on misconfigured campaigns (e.g. zero tests would

@@ -40,7 +40,7 @@ class TestResult:
     peak progressed-formula size over the trace, ``intern_hits`` /
     ``intern_misses`` are the test's hash-cons table deltas, and
     ``query_width_sum`` totals the per-state captured query counts
-    (``/ states_observed`` = the mean width query narrowing achieved).
+    (``/ states_observed`` = the mean snapshot width).
     The intern counters are per-*process* deltas: exact under the
     fork pool and the serial loop (one test at a time per process), but
     under the thread-fallback transport concurrent tests interleave

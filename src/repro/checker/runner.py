@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..executors.base import ActionFailed, AsyncExecutor, ensure_async_executor
-from ..protocol.messages import Acted, Act, Narrow, Start, Timeout
+from ..protocol.messages import Acted, Act, Start, Timeout
 from ..protocol.session import TraceEntry
 from ..quickltl import (
     FormulaChecker,
@@ -44,7 +44,7 @@ from .compiled import CompiledProperty
 from .config import RunnerConfig
 from .result import CampaignResult, TestResult
 
-__all__ = ["Runner", "TraceAccumulator", "QueryNarrower", "check_spec"]
+__all__ = ["Runner", "TraceAccumulator", "check_spec"]
 
 
 @dataclass
@@ -74,9 +74,8 @@ class TraceAccumulator:
         self.states = 0
         self.verdict = Verdict.DEMAND
         self.current_state: Optional[StateSnapshot] = None
-        #: Total captured query entries across states -- the honest
-        #: measure of what narrowing saved (full runs sum the whole
-        #: dependency set every state).
+        #: Total captured query entries across states (the session's
+        #: dependency set, summed over every observed state).
         self.query_width_sum = 0
 
     def absorb(self, executor) -> None:
@@ -98,74 +97,6 @@ class TraceAccumulator:
             self.current_state = state
             if not self.verdict.is_definitive:
                 self.verdict = self.checker.observe(state)
-
-
-class QueryNarrower:
-    """Per-test driver of the ``Narrow`` protocol message.
-
-    After every observed state it recomputes the capture set the
-    residual formula (plus the spec's actions) still needs and tells
-    the executor when it changed; a backend that declines once is never
-    asked again (full snapshots simply continue).  The set may widen
-    again later -- e.g. when the liveness analysis loses track -- but
-    never beyond the session's ``Start`` set.
-    """
-
-    __slots__ = ("compiled", "executor", "checker", "full", "active", "enabled")
-
-    def __init__(self, compiled: CompiledProperty, executor, checker) -> None:
-        self.compiled = compiled
-        self.executor = executor
-        self.checker = checker
-        self.full = frozenset(compiled.spec.dependencies)
-        self.active = self.full
-        self.enabled = (
-            compiled.supports_narrowing
-            and getattr(executor, "narrow", None) is not None
-        )
-
-    def _pending_target(self):
-        """The capture set to request now, or None when there is
-        nothing to say (narrowing disabled, or the set is unchanged)."""
-        if not self.enabled:
-            return None
-        target = self.compiled.narrowed_dependencies(self.checker.residual)
-        if target is None:
-            target = self.full
-        if target == self.active:
-            return None
-        return target
-
-    def update(self) -> None:
-        """Re-narrow (or re-widen) for the checker's current residual."""
-        target = self._pending_target()
-        if target is None:
-            return
-        if self.executor.narrow(Narrow(target)):
-            self.active = target
-            return
-        # Backend declined: stop asking -- but never leave it stuck on
-        # an *earlier accepted* narrow when the formula now needs more.
-        self.enabled = False
-        if self.active != self.full and self.executor.narrow(
-            Narrow(self.full)
-        ):
-            self.active = self.full
-
-    async def update_async(self) -> None:
-        """:meth:`update` against an :class:`AsyncExecutor` -- same
-        decisions, awaited ``Narrow`` round-trips."""
-        target = self._pending_target()
-        if target is None:
-            return
-        if await self.executor.narrow(Narrow(target)):
-            self.active = target
-            return
-        self.enabled = False
-        if self.active != self.full and await self.executor.narrow(
-            Narrow(self.full)
-        ):
-            self.active = self.full
 
 
 class _InlineAsyncExecutor(AsyncExecutor):
@@ -202,12 +133,6 @@ class _InlineAsyncExecutor(AsyncExecutor):
 
     def stop_nowait(self) -> None:
         self.inner.stop()
-
-    async def narrow(self, narrow: Narrow) -> bool:
-        fn = getattr(self.inner, "narrow", None)
-        if fn is None:
-            return False
-        return fn(narrow)
 
     async def reset(self, reset) -> bool:
         fn = getattr(self.inner, "reset", None)
@@ -327,10 +252,10 @@ class Runner:
         return tuple(watched)
 
     def compiled_spec(self) -> CompiledProperty:
-        """The spec's compiled form (shared progression caches, action
-        footprint), built once per runner unless an artifact-provided
-        bundle was adopted at construction.  The pooled schedulers call
-        this before forking so every worker inherits the warm artifact
+        """The spec's compiled form (shared progression caches), built
+        once per runner unless an artifact-provided bundle was adopted
+        at construction.  The pooled schedulers call this before
+        forking so every worker inherits the warm artifact
         copy-on-write."""
         if self._compiled is None:
             self._compiled = CompiledProperty(self.spec)
@@ -338,11 +263,6 @@ class Runner:
 
     def _start_message(self) -> Start:
         return Start(self.spec.dependencies, self.watched_events())
-
-    def _narrower(self, executor, checker) -> Optional[QueryNarrower]:
-        if not self.config.narrow_queries:
-            return None
-        return QueryNarrower(self.compiled_spec(), executor, checker)
 
     def run_single_test(self, rng: random.Random, lease=None) -> TestResult:
         """Run one generated test.
@@ -423,7 +343,6 @@ class Runner:
         """
         checker = self.compiled_spec().checker()
         config = self.config
-        narrower = self._narrower(executor, checker)
         counter, token = push_intern_counter()
         try:
             acc = TraceAccumulator(checker)
@@ -436,11 +355,6 @@ class Runner:
             while True:
                 if acc.verdict.is_definitive:
                     break
-                if narrower is not None:
-                    # Every state the executor snapshots from here on only
-                    # needs what the progressed formula (and the actions)
-                    # can still read.
-                    await narrower.update_async()
                 if acc.states >= config.max_states:
                     stall_reason = "max states reached"
                     break
@@ -563,7 +477,6 @@ class Runner:
         executor.start(self._start_message())
         checker = self.compiled_spec().checker()
         config = self.config
-        narrower = self._narrower(executor, checker)
         intern_hits0, intern_misses0 = intern_stats()
         actions_by_name = {a.name: a for a in self.spec.actions}
         timeout_by_name = {a.name: a.timeout_ms for a in self.spec.actions}
@@ -576,8 +489,6 @@ class Runner:
         for name, resolved in actions:
             if acc.verdict.is_definitive:
                 break
-            if narrower is not None:
-                narrower.update()
             # A candidate is only valid if every action is *legal* where
             # it fires: the real runner never fires a guarded-off action,
             # so a shrink that would do so is rejected outright.

@@ -153,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz = sub.add_parser(
         "fuzz",
         help="differential fuzzing: generated apps x generated specs, "
-             "cross-checked serial vs pooled vs warm vs full-capture vs "
+             "cross-checked serial vs pooled vs warm vs async vs "
              "monitor-replay and against the direct reference semantics",
     )
     fuzz.add_argument("--seed", type=int, default=0,
@@ -316,11 +316,6 @@ def _campaign_options(parser: argparse.ArgumentParser, jobs_help: str) -> None:
                         help="construct a fresh executor for every test "
                              "instead of reusing a warm one (verdicts are "
                              "identical; this is the cold baseline)")
-    parser.add_argument("--no-narrow", action="store_true",
-                        help="capture the full dependency set in every "
-                             "snapshot instead of narrowing to what the "
-                             "progressed formula still reads (verdicts "
-                             "are identical; this is the full baseline)")
     parser.add_argument("--transport", choices=("fork", "thread", "tcp"),
                         default=None,
                         help="task delivery: fork/thread pools on this "
@@ -436,7 +431,6 @@ def _cmd_check(args) -> int:
         demand_allowance=max(20, args.subscript // 5),
         seed=args.seed,
         shrink=not args.no_shrink,
-        narrow_queries=not args.no_narrow,
     )
     cfg = _session_config(args)
     # A remote worker rebuilds each campaign from this descriptor: the
@@ -476,7 +470,6 @@ def _cmd_audit(args) -> int:
         demand_allowance=20,
         seed=args.seed,
         shrink=False,
-        narrow_queries=not args.no_narrow,
     )
     junit_to_stdout = args.format == "junit" and args.report_file is None
     stream_mode = None if junit_to_stdout else (
@@ -560,42 +553,53 @@ class _AuditStreamReporter(Reporter):
                   flush=True)
 
 
+def _replay_corpus(args) -> int:
+    from .fuzz import read_corpus, replay_entry
+
+    # Read every entry before replaying any: a malformed corpus fails
+    # fast, without a partial replay report.
+    entries = list(read_corpus(args.replay))
+    failures = 0
+    for position, entry in enumerate(entries):
+        outcome = replay_entry(entry)
+        if entry.kind == "divergence":
+            # A divergence that still reproduces is a live bug.
+            ok = outcome is not None
+            status = "fixed" if ok else "STILL DIVERGES"
+        else:
+            # A counterexample must replay deterministically.
+            ok = outcome is None
+            status = "reproduces" if ok else f"BROKEN: {outcome}"
+        if not ok:
+            failures += 1
+        record = {"index": position, "kind": entry.kind,
+                  "detail": entry.detail, "ok": ok, "status": status}
+        if args.format == "json":
+            print(json.dumps(record, sort_keys=True))
+        else:
+            print(f"[{position}] {entry.kind} {entry.detail}: {status}")
+    if args.format == "json":
+        print(json.dumps(
+            {"event": "replay_end", "corpus": args.replay,
+             "entries": len(entries), "problems": failures},
+            sort_keys=True,
+        ))
+    else:
+        print(f"replayed corpus {args.replay}: "
+              f"{failures} problem(s)")
+    return 1 if failures else 0
+
+
 def _cmd_fuzz(args) -> int:
-    from .fuzz import read_corpus, replay_entry, run_fuzz
+    from .fuzz import CorpusError, run_fuzz
 
     if args.replay is not None:
-        failures = 0
-        replayed = 0
-        for position, entry in enumerate(read_corpus(args.replay)):
-            outcome = replay_entry(entry)
-            replayed += 1
-            if entry.kind == "divergence":
-                # A divergence that still reproduces is a live bug.
-                ok = outcome is not None
-                status = ("fixed" if ok
-                          else "STILL DIVERGES")
-            else:
-                # A counterexample must replay deterministically.
-                ok = outcome is None
-                status = "reproduces" if ok else f"BROKEN: {outcome}"
-            if not ok:
-                failures += 1
-            record = {"index": position, "kind": entry.kind,
-                      "detail": entry.detail, "ok": ok, "status": status}
-            if args.format == "json":
-                print(json.dumps(record, sort_keys=True))
-            else:
-                print(f"[{position}] {entry.kind} {entry.detail}: {status}")
-        if args.format == "json":
-            print(json.dumps(
-                {"event": "replay_end", "corpus": args.replay,
-                 "entries": replayed, "problems": failures},
-                sort_keys=True,
-            ))
-        else:
-            print(f"replayed corpus {args.replay}: "
-                  f"{failures} problem(s)")
-        return 1 if failures else 0
+        try:
+            return _replay_corpus(args)
+        except CorpusError as error:
+            print(f"repro fuzz: {args.replay}: CorpusError: {error}",
+                  file=sys.stderr)
+            return 2
 
     show_progress = args.format == "console" and sys.stderr.isatty()
 

@@ -23,7 +23,7 @@ import random
 from abc import ABC, abstractmethod
 from typing import List, Optional
 
-from ..protocol.messages import Act, Narrow, Reset, Start
+from ..protocol.messages import Act, Reset, Start
 
 __all__ = [
     "ActionFailed",
@@ -86,18 +86,6 @@ class Executor(ABC):
 
     def stop(self) -> None:
         """Tear the session down (default: nothing to do)."""
-
-    def narrow(self, narrow: Narrow) -> bool:
-        """Restrict subsequent snapshots to ``narrow.dependencies``
-        (intersected with the session's ``Start`` set).
-
-        Returns True when the restriction is in effect; the default
-        declines, so backends that never heard of narrowing keep
-        capturing the full dependency set -- the checker treats a
-        decline as "full snapshots continue" and never asks again for
-        this session.  ``start``/``reset`` always restore full capture.
-        """
-        return False
 
     def reset(self, reset: Reset) -> bool:
         """Begin a fresh session on this warm executor, if the backend
@@ -177,11 +165,6 @@ class AsyncExecutor(ABC):
         stop the inner executor directly; purely-async backends should
         override with whatever non-blocking release they can manage."""
 
-    async def narrow(self, narrow: Narrow) -> bool:
-        """Restrict subsequent snapshots (see :meth:`Executor.narrow`);
-        the default declines."""
-        return False
-
     async def reset(self, reset: Reset) -> bool:
         """Begin a fresh session on this warm executor (see
         :meth:`Executor.reset`); the default declines."""
@@ -233,12 +216,6 @@ class SyncExecutorAdapter(AsyncExecutor):
     def stop_nowait(self) -> None:
         self.inner.stop()
 
-    async def narrow(self, narrow: Narrow) -> bool:
-        fn = getattr(self.inner, "narrow", None)
-        if fn is None:
-            return False
-        return await self._call(fn, narrow)
-
     async def reset(self, reset: Reset) -> bool:
         fn = getattr(self.inner, "reset", None)
         if fn is None:
@@ -265,7 +242,7 @@ class LatencyExecutor(AsyncExecutor):
 
     Models WebDriver round-trips for the simulated backends: every
     *wire* call (``start``/``drain``/``act``/``await_events``/
-    ``narrow``/``reset``) first sleeps a pseudo-random real-time delay
+    ``reset``) first sleeps a pseudo-random real-time delay
     drawn from a private seeded RNG -- uniform in ``latency_ms * [1 -
     jitter, 1 + jitter]``.  The delay is **wall-clock only**: virtual
     time (``now_ms``), the trace, and the test's own RNG are never
@@ -348,12 +325,6 @@ class LatencyExecutor(AsyncExecutor):
             self.inner.stop_nowait()
         else:
             self.inner.stop()
-
-    async def narrow(self, narrow: Narrow) -> bool:
-        fn = getattr(self.inner, "narrow", None)
-        if fn is None:
-            return False
-        return await self._round_trip("narrow", narrow)
 
     async def reset(self, reset: Reset) -> bool:
         fn = getattr(self.inner, "reset", None)

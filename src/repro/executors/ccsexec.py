@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from ..protocol.messages import Acted, Act, Event, Narrow, Reset, Start, Timeout
+from ..protocol.messages import Acted, Act, Event, Reset, Start, Timeout
 from ..protocol.session import TraceRecorder
 from ..specstrom.state import ElementSnapshot, StateSnapshot
 from .base import Executor
@@ -56,7 +56,6 @@ class CCSExecutor(Executor):
         self.recorder = TraceRecorder()
         self._outbox: List[object] = []
         self._dependencies: Tuple[str, ...] = ()
-        self._active: Tuple[str, ...] = ()
         self._now_ms = 0.0
         self._next_tau_ms = tau_period_ms if tau_period_ms > 0 else None
         self._rng = random.Random(tau_seed)
@@ -67,7 +66,6 @@ class CCSExecutor(Executor):
 
     def start(self, start: Start) -> None:
         self._dependencies = tuple(sorted(start.dependencies))
-        self._active = self._dependencies
         self.process = self.initial
         self._report("event", ("loaded?",))
 
@@ -76,7 +74,6 @@ class CCSExecutor(Executor):
         tau RNG -- observationally identical to a cold ``start`` on a
         newly constructed executor with the same parameters."""
         self._dependencies = tuple(sorted(reset.dependencies))
-        self._active = self._dependencies
         self.process = self.initial
         self.recorder = TraceRecorder()
         self._outbox = []
@@ -84,14 +81,6 @@ class CCSExecutor(Executor):
         self._next_tau_ms = self.tau_period_ms if self.tau_period_ms > 0 else None
         self._rng = random.Random(self.tau_seed)
         self._report("event", ("loaded?",))
-        return True
-
-    def narrow(self, narrow: Narrow) -> bool:
-        """Capture only the requested pseudo-selectors (labels) in
-        subsequent snapshots; ``start``/``reset`` restore full capture."""
-        self._active = tuple(
-            sorted(set(narrow.dependencies) & set(self._dependencies))
-        )
         return True
 
     def drain(self) -> List[object]:
@@ -168,7 +157,7 @@ class CCSExecutor(Executor):
     def _snapshot(self, happened: Tuple[str, ...]) -> StateSnapshot:
         enabled = set(enabled_labels(self.process, self.definitions))
         queries = {}
-        for selector in self._active:
+        for selector in self._dependencies:
             if selector in enabled:
                 queries[selector] = (
                     ElementSnapshot(tag="action", text=selector),

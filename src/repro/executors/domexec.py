@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..browser.webdriver import Browser, NotInteractableError, Page
-from ..protocol.messages import Acted, Act, Event, Narrow, Reset, Start, Timeout
+from ..protocol.messages import Acted, Act, Event, Reset, Start, Timeout
 from ..protocol.session import TraceRecorder
 from ..specstrom.actions import PrimitiveEvent, ResolvedAction
 from ..specstrom.state import ElementSnapshot, StateSnapshot
@@ -38,9 +38,6 @@ class DomExecutor(Executor):
         self.recorder = TraceRecorder()
         self._outbox: List[object] = []
         self._dependencies: Tuple[str, ...] = ()
-        #: The selectors snapshots actually capture: the full dependency
-        #: set after start/reset, possibly a subset after ``Narrow``.
-        self._active: Tuple[str, ...] = ()
         self._watched: Tuple[Tuple[str, PrimitiveEvent], ...] = ()
         self._last_watch_state: Dict[str, Tuple[ElementSnapshot, ...]] = {}
 
@@ -50,7 +47,6 @@ class DomExecutor(Executor):
 
     def start(self, start: Start) -> None:
         self._dependencies = tuple(sorted(start.dependencies))
-        self._active = self._dependencies
         self._watched = tuple(start.events)
         self.browser = Browser(self._app_factory)
         self.browser.load()
@@ -71,7 +67,6 @@ class DomExecutor(Executor):
         if self.browser is None:
             return False  # never started; nothing warm to reuse
         self._dependencies = tuple(sorted(reset.dependencies))
-        self._active = self._dependencies
         self._watched = tuple(reset.events)
         self.recorder = TraceRecorder()
         self._outbox = []
@@ -79,17 +74,6 @@ class DomExecutor(Executor):
         self.browser.reset()
         self._remember_watches()
         self._report("event", ("loaded?",))
-        return True
-
-    def narrow(self, narrow: Narrow) -> bool:
-        """Capture only the requested (still-instrumented) selectors in
-        subsequent snapshots.  Already-reported states are immutable and
-        unaffected; ``start``/``reset`` restore full capture."""
-        if self.browser is None:
-            return False
-        self._active = tuple(
-            sorted(set(narrow.dependencies) & set(self._dependencies))
-        )
         return True
 
     def drain(self) -> List[object]:
@@ -185,7 +169,7 @@ class DomExecutor(Executor):
         browser = self._require_browser()
         document = browser.document
         queries = {}
-        for selector in self._active:
+        for selector in self._dependencies:
             queries[selector] = tuple(
                 ElementSnapshot.of_element(el, document)
                 for el in document.query_all(selector)

@@ -22,10 +22,11 @@ Property-Based Testing" in PAPERS.md):
   trace is re-evaluated with the independent reference semantics
   (:func:`repro.quickltl.direct_eval` over trace prefixes) and the
   end-to-end verdict must match; every campaign is run serial vs pooled
-  vs warm-reuse and verdicts, counterexamples and reporter event
-  streams must be identical.
+  vs warm-reuse vs async and verdicts, counterexamples and reporter
+  event streams must be identical.
 * :mod:`repro.fuzz.corpus` -- any divergence is shrunk and persisted as
-  a replayable JSONL corpus entry (`repro fuzz --replay` re-runs it).
+  a replayable JSONL corpus entry (`repro fuzz --replay` re-runs it;
+  a malformed line is a :class:`~repro.fuzz.corpus.CorpusError`).
 * :mod:`repro.fuzz.campaigns` -- the campaign generator and the
   ``repro fuzz`` driver, running batches on the shared
   :class:`~repro.api.pool.WorkerPool` scheduler.
@@ -48,7 +49,13 @@ from .oracles import (
     direct_oracle_mismatch,
     expected_outcome,
 )
-from .corpus import CorpusEntry, append_entry, read_corpus, replay_entry
+from .corpus import (
+    CorpusEntry,
+    CorpusError,
+    append_entry,
+    read_corpus,
+    replay_entry,
+)
 from .campaigns import (
     Divergence,
     FuzzCampaign,
@@ -75,6 +82,7 @@ __all__ = [
     "direct_oracle_mismatch",
     "expected_outcome",
     "CorpusEntry",
+    "CorpusError",
     "append_entry",
     "read_corpus",
     "replay_entry",

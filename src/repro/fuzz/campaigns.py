@@ -2,39 +2,31 @@
 
 One *fuzz campaign* is a generated machine, a generated specification
 and a family of twins -- the correct app plus up to a few faulty
-mutants.  :func:`run_campaign` runs the family as one batch four times:
+mutants.  :func:`run_campaign` runs the family as one batch on four
+legs:
 
-* ``serial``  -- ``jobs=1``, cold executors (the reference schedule;
-  residual-driven query narrowing on, like production defaults),
+* ``serial``  -- ``jobs=1``, cold executors (the reference schedule),
 * ``pooled``  -- the :class:`~repro.api.scheduler.PooledScheduler` on a
   forked worker pool, cold executors,
 * ``warm``    -- the pooled schedule with warm executor reuse
   (the ``Reset`` protocol path),
-* ``full``    -- ``jobs=1``, cold, with query narrowing *off*: every
-  snapshot captures the whole dependency set (the narrowed-observation
-  oracle's reference, and the leg the direct-semantics trace oracle
-  reads, since the reference evaluator may touch queries the residual
-  provably cannot).
+* ``async``   -- every target through the
+  :class:`~repro.api.engines.AsyncEngine`, each session driven by the
+  awaitable protocol through a
+  :class:`~repro.executors.base.SyncExecutorAdapter` under a
+  pass-through :class:`~repro.executors.base.LatencyExecutor`.
 
 All four must agree -- verdicts, per-test results, counterexamples,
-reporter event streams -- the narrowed traces must be exactly the full
-traces restricted to their capture sets
-(:func:`~repro.fuzz.oracles.narrowing_mismatch`), and every test of the
-full run must agree with the direct-semantics trace oracle.  A fifth
-differential leg then replays the full leg's recorded traces through
-the *online monitor* (:func:`~repro.fuzz.oracles.monitor_oracle_mismatch`):
-each test becomes one concurrent monitor session, and the per-session
-verdicts must equal the offline per-test verdicts.  A sixth leg
-(``async``) runs every target through the
-:class:`~repro.api.engines.AsyncEngine` -- each session driven by the
-awaitable protocol through a
-:class:`~repro.executors.base.SyncExecutorAdapter` under a
-pass-through :class:`~repro.executors.base.LatencyExecutor` -- and its
-campaign results must equal the serial leg's exactly.  Model-spec
-campaigns
-additionally feed the fault-detection scoreboard (the generated
-analogue of the paper's Table 2): the correct twin must pass, and a
-failing faulty twin counts as a detection whose minimized
+and (for the batch-shaped serial/pooled/warm legs) reporter event
+streams.  The serial leg's recorded traces then feed two oracles:
+every test must agree with the direct-semantics trace oracle
+(:func:`~repro.fuzz.oracles.direct_oracle_mismatch`), and replayed
+through the *online monitor* as interleaved concurrent sessions
+(:func:`~repro.fuzz.oracles.monitor_oracle_mismatch`) the per-session
+verdicts must equal the offline per-test verdicts.  Model-spec
+campaigns additionally feed the fault-detection scoreboard (the
+generated analogue of the paper's Table 2): the correct twin must
+pass, and a failing faulty twin counts as a detection whose minimized
 counterexample is persisted to the corpus.
 
 Any disagreement is *shrunk* (fewer tests, shorter action budget, while
@@ -44,7 +36,7 @@ it still reproduces) and persisted as a replayable JSONL corpus entry.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..api.config import SessionConfig
@@ -65,7 +57,6 @@ from .oracles import (
     compare_campaigns,
     direct_oracle_mismatch,
     monitor_oracle_mismatch,
-    narrowing_mismatch,
 )
 from .specgen import model_spec_source, random_spec_source
 
@@ -203,7 +194,7 @@ def _async_leg(
     check: CheckSpec,
     config: RunnerConfig,
 ) -> Tuple[List[_AsyncOutcome], None]:
-    """The sixth leg: every target's campaign on the
+    """The async leg: every target's campaign on the
     :class:`~repro.api.engines.AsyncEngine`.
 
     Sessions go through the full async stack -- ``SyncExecutorAdapter``
@@ -213,7 +204,7 @@ def _async_leg(
     could introduce shows up as a campaign-result difference against
     serial.  The reporter stream is engine-shaped rather than
     batch-shaped, so only results are compared (the stream oracle
-    already runs on the pooled/warm/full legs).
+    already runs on the pooled/warm legs).
     """
     from ..api.engines import AsyncEngine
     from ..api.session import _coerce_executor_factory
@@ -243,15 +234,10 @@ def _run_paths(
 ) -> Dict[str, Tuple[CampaignSetResult, RecordingReporter]]:
     """The same batch on the legs under comparison."""
     runs: Dict[str, Tuple[CampaignSetResult, RecordingReporter]] = {}
-    full_config = (
-        config if not config.narrow_queries
-        else replace(config, narrow_queries=False)
-    )
-    for path, (path_jobs, reuse, path_config) in (
-        ("serial", (1, False, config)),
-        ("pooled", (jobs, False, config)),
-        ("warm", (jobs, True, config)),
-        ("full", (1, False, full_config)),
+    for path, path_jobs, reuse in (
+        ("serial", 1, False),
+        ("pooled", jobs, False),
+        ("warm", jobs, True),
     ):
         recorder = RecordingReporter()
         session = CheckSession(reporters=[recorder])
@@ -262,7 +248,7 @@ def _run_paths(
         batch = session.check_many(
             targets,
             spec=check,
-            config=path_config,
+            config=config,
             session=SessionConfig(jobs=path_jobs, reuse_executors=reuse),
         )
         runs[path] = (batch, recorder)
@@ -311,40 +297,10 @@ def _campaign_divergences(
                 "event_stream",
                 f"{path} reporter event stream differs from serial",
             )
-    # The narrowed-observation leg: narrowing (the default on the other
-    # three legs) must be invisible -- same verdicts/actions/events as
-    # the full-capture run, and every narrowed state must be the full
-    # state restricted to its capture set.
-    full_batch, full_recorder = runs["full"]
-    for full_outcome, narrowed_outcome in zip(full_batch, serial_batch):
-        difference = compare_campaigns(
-            f"narrowed vs full capture on {full_outcome.target!r}",
-            full_outcome.result,
-            narrowed_outcome.result,
-        )
-        if difference is not None:
-            record(full_outcome.target, "narrow", difference)
-            continue
-        for test_index, (full_result, narrowed_result) in enumerate(
-            zip(full_outcome.result.results, narrowed_outcome.result.results)
-        ):
-            mismatch = narrowing_mismatch(full_result, narrowed_result)
-            if mismatch is not None:
-                record(
-                    full_outcome.target,
-                    "narrow",
-                    f"test {test_index}: {mismatch}",
-                )
-    if full_recorder.events != serial_recorder.events:
-        record(
-            "correct",
-            "narrow",
-            "full-capture reporter event stream differs from narrowed",
-        )
-    # The trace oracle reads the *full* leg: the reference semantics may
-    # evaluate queries the residual provably cannot, which narrowed
-    # states legitimately omit.
-    for outcome in full_batch:
+    # The trace oracle and the monitor leg read the serial leg's
+    # traces: the reference semantics, then the online monitor with the
+    # traces replayed as interleaved concurrent sessions.
+    for outcome in serial_batch:
         for test_index, result in enumerate(outcome.result.results):
             mismatch = direct_oracle_mismatch(check, result)
             if mismatch is not None:
@@ -353,14 +309,11 @@ def _campaign_divergences(
                     "oracle",
                     f"test {test_index}: {mismatch}",
                 )
-    # The fifth leg: the full leg's recorded traces replayed through the
-    # online monitor as interleaved concurrent sessions.
-    for outcome in full_batch:
         mismatch = monitor_oracle_mismatch(check, outcome.result.results)
         if mismatch is not None:
             record(outcome.target, "monitor", mismatch)
-    # The sixth leg: the async session engine must reproduce the serial
-    # schedule exactly (verdicts, per-test results, counterexamples).
+    # The async session engine must reproduce the serial schedule
+    # exactly (verdicts, per-test results, counterexamples).
     async_batch, _ = runs["async"]
     for baseline, candidate in zip(serial_batch, async_batch):
         difference = compare_campaigns(
@@ -431,14 +384,12 @@ def _target_diverges(entry: CorpusEntry, jobs: Optional[int] = None) -> bool:
     divergence shrinking and by corpus replay."""
     if jobs is None:
         jobs = int(entry.extra.get("jobs", 2))
-    check = load_module(
-        entry.spec_source, default_subscript=entry.default_subscript
-    ).checks[0]
-    config = RunnerConfig(**entry.config)
+    check = entry.check_spec()
+    config = entry.runner_config()
     named = _entry_batch(entry)
     runs = _run_paths(entry.machine, named, check, config, jobs)
     serial_batch, serial_recorder = runs["serial"]
-    for path in ("pooled", "warm", "full", "async"):
+    for path in ("pooled", "warm", "async"):
         batch, recorder = runs[path]
         for baseline, candidate in zip(serial_batch, batch):
             if compare_campaigns("replay", baseline.result,
@@ -446,18 +397,10 @@ def _target_diverges(entry: CorpusEntry, jobs: Optional[int] = None) -> bool:
                 return True
         if recorder is not None and recorder.events != serial_recorder.events:
             return True
-    full_batch, _ = runs["full"]
-    for full_outcome, narrowed_outcome in zip(full_batch, serial_batch):
-        for full_result, narrowed_result in zip(
-            full_outcome.result.results, narrowed_outcome.result.results
-        ):
-            if narrowing_mismatch(full_result, narrowed_result) is not None:
-                return True
-    for outcome in full_batch:
+    for outcome in serial_batch:
         for result in outcome.result.results:
             if direct_oracle_mismatch(check, result) is not None:
                 return True
-    for outcome in full_batch:
         if monitor_oracle_mismatch(check, outcome.result.results) is not None:
             return True
     # A false positive is the model spec failing its correct twin.

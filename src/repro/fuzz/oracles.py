@@ -1,6 +1,6 @@
 """Differential oracles: two independent answers, one allowed outcome.
 
-Four cross-checks, in increasing scope:
+Three cross-checks, in increasing scope, plus the recorder they share:
 
 * **Trace oracle** (:func:`direct_oracle_mismatch`): the end-to-end
   verdict of one test must be reproducible from its recorded trace by
@@ -10,20 +10,13 @@ Four cross-checks, in increasing scope:
   QuickLTL correctness theorem, property-tested in
   ``tests/quickltl/test_progression_vs_direct.py``; this oracle extends
   it end-to-end: through the executor, the runner loop, staleness,
-  budget exhaustion and the forced-verdict polarity rule).
+  budget exhaustion and the forced-verdict polarity rule).  Every
+  recorded state captures the spec's whole dependency set, so the
+  reference semantics can read any query it evaluates.
 * **Path oracle** (:func:`compare_campaigns`): the same campaign run on
-  different schedules (serial, pooled, warm-reuse) must produce
+  different schedules (serial, pooled, warm-reuse, async) must produce
   identical verdicts, per-test results, counterexamples and reporter
   event streams.
-* **Narrowing oracle** (:func:`narrowing_mismatch`): a run with
-  residual-driven query narrowing enabled (the default) must be
-  state-for-state equivalent to the full-capture run -- same verdicts
-  and actions (checked through :func:`compare_campaigns`), and every
-  narrowed snapshot must be exactly the full snapshot *restricted* to
-  the narrowed capture set (no query may be captured differently, and
-  nothing outside the full run's capture may appear).  The trace oracle
-  runs on the full-capture leg, whose states the reference semantics
-  can always read.
 * **Monitor oracle** (:func:`monitor_oracle_mismatch`): the recorded
   traces of a campaign, re-encoded onto the monitor wire format and
   streamed through :class:`~repro.monitor.service.Monitor` as
@@ -52,7 +45,6 @@ __all__ = [
     "direct_oracle_mismatch",
     "monitor_oracle_mismatch",
     "compare_campaigns",
-    "narrowing_mismatch",
 ]
 
 
@@ -233,55 +225,6 @@ def _campaign_signature(result: CampaignResult) -> tuple:
         if result.shrunk_counterexample is None
         else _action_signature(result.shrunk_counterexample.actions),
     )
-
-
-def narrowing_mismatch(
-    full: TestResult, narrowed: TestResult
-) -> Optional[str]:
-    """Compare a narrowed test against its full-capture twin, state by
-    state.
-
-    Verdict/action equality is :func:`compare_campaigns`' job; this
-    oracle checks the *states*: both runs must have seen the same trace
-    shape (kinds, happened sets, versions, timestamps), and each
-    narrowed snapshot must equal the full snapshot restricted to the
-    queries the narrowed run captured.  Returns ``None`` when
-    equivalent, else the first difference.
-    """
-    if len(full.trace) != len(narrowed.trace):
-        return (
-            f"trace lengths differ: full {len(full.trace)} vs narrowed "
-            f"{len(narrowed.trace)}"
-        )
-    for index, (full_entry, narrow_entry) in enumerate(
-        zip(full.trace, narrowed.trace)
-    ):
-        for attribute in ("kind", "happened"):
-            left = getattr(full_entry, attribute)
-            right = getattr(narrow_entry, attribute)
-            if left != right:
-                return (
-                    f"state {index}: {attribute} differs "
-                    f"({left!r} vs {right!r})"
-                )
-        full_state, narrow_state = full_entry.state, narrow_entry.state
-        if (full_state.version, full_state.timestamp_ms) != (
-            narrow_state.version, narrow_state.timestamp_ms
-        ):
-            return f"state {index}: version/timestamp differ"
-        extra = set(narrow_state.queries) - set(full_state.queries)
-        if extra:
-            return (
-                f"state {index}: narrowed run captured queries the full "
-                f"run did not: {sorted(extra)}"
-            )
-        for css, elements in narrow_state.queries.items():
-            if full_state.queries[css] != elements:
-                return (
-                    f"state {index}: query {css!r} captured differently "
-                    "under narrowing"
-                )
-    return None
 
 
 def compare_campaigns(

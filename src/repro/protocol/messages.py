@@ -3,7 +3,8 @@
 Checker to executor:
 
 * :class:`Start` -- begin a session; carries the dependency set (which
-  selectors to instrument) and the events to watch.
+  selectors to instrument -- every state snapshot of the session
+  captures exactly these) and the events to watch.
 * :class:`Act` -- perform a resolved action.  Carries the checker's view
   of the trace length (``version``); the executor rejects the request if
   its trace has grown past that version (Figure 10's staleness rule).
@@ -18,15 +19,6 @@ Checker to executor:
   different specification's selectors and events.  Backends that cannot
   restore the initial state exactly decline, and the caller falls back
   to stop + a fresh ``Start``.
-* :class:`Narrow` -- restrict *subsequent* snapshots to the given
-  subset of the ``Start`` dependency set.  The checker sends it when
-  the progressed formula can no longer read some queries (the
-  residual-liveness analysis of ``repro.specstrom.analysis``), so the
-  executor stops paying capture cost for dead selectors.  Backends may
-  decline (return False) and keep capturing the full set -- narrowing
-  is an optimisation whose verdicts are asserted identical to
-  full-capture runs.  A later ``Narrow`` may widen again (up to the
-  ``Start`` set), and ``Start``/``Reset`` always restore full capture.
 
 Executor to checker:
 
@@ -46,7 +38,7 @@ from ..specstrom.actions import PrimitiveEvent, ResolvedAction
 from ..specstrom.state import StateSnapshot
 
 __all__ = [
-    "Start", "Act", "Wait", "Reset", "Narrow", "Event", "Acted", "Timeout",
+    "Start", "Act", "Wait", "Reset", "Event", "Acted", "Timeout",
     "ExecutorMessage",
 ]
 
@@ -71,16 +63,6 @@ class Reset:
 
     dependencies: frozenset
     events: Tuple[Tuple[str, PrimitiveEvent], ...] = ()
-
-
-@dataclass(frozen=True)
-class Narrow:
-    """Restrict subsequent snapshots to this query subset (see module
-    docs).  Selectors outside the session's ``Start`` dependency set are
-    ignored -- the executor can only narrow what it already instruments.
-    """
-
-    dependencies: frozenset
 
 
 @dataclass(frozen=True)

@@ -210,9 +210,6 @@ def intern_delta() -> InternDelta:
     return InternDelta()
 
 
-_UNSET = object()  # sentinel for Defer's lazy footprint cache
-
-
 class _InternedMeta(type):
     """Metaclass routing construction through the hash-cons table.
 
@@ -231,22 +228,15 @@ class _InternedMeta(type):
             fields = cls._fields
             merged = list(args)
             for name in fields[len(args):]:
-                if name in kwargs:
-                    merged.append(kwargs.pop(name))
-                elif name in cls._defaults:
-                    merged.append(cls._defaults[name])
-                else:
+                if name not in kwargs:
                     return _uninterned(cls, tuple(merged), kwargs)
+                merged.append(kwargs.pop(name))
             if kwargs:  # unknown keyword (custom subclass): stay out of the way
                 return _uninterned(cls, tuple(merged), kwargs)
             args = tuple(merged)
         elif len(args) < len(cls._fields):
-            defaults = cls._defaults
-            names = cls._fields[len(args):]
-            if not all(name in defaults for name in names):
-                # Let __init__ raise the natural TypeError.
-                return _uninterned(cls, args, {})
-            args = args + tuple(defaults[name] for name in names)
+            # Let __init__ raise the natural TypeError.
+            return _uninterned(cls, args, {})
         key = (cls,) + args
         try:
             node = _INTERN.get(key)
@@ -291,8 +281,6 @@ class Formula(metaclass=_InternedMeta):
     __slots__ = ("_hash", "__weakref__")
     #: Field names, in constructor order; subclasses override.
     _fields: Tuple[str, ...] = ()
-    #: Default values for trailing optional fields.
-    _defaults: dict = {}
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(
@@ -539,17 +527,7 @@ class Defer(Formula):
     hold the *same* closure object, so deduplication across distinct
     closures is (soundly) never attempted.
 
-    ``footprint`` is an optional zero-argument callable returning the
-    set of query keys (CSS selectors, for Specstrom-built formulas) the
-    deferred body can possibly read when forced, or ``None`` when
-    unknown.  Front ends that know their bodies (the Specstrom
-    evaluator) attach it so :func:`repro.specstrom.analysis.live_queries`
-    can narrow the executor's per-state capture set; hand-built defers
-    leave it off and the analysis conservatively reports "everything".
-    The result is computed at most once per node
-    (:meth:`selector_footprint`).
-
-    ``provenance`` records *how* to rebuild the closures in another
+    ``provenance`` records *how* to rebuild the closure in another
     process -- the Specstrom evaluator attaches a
     :class:`repro.specstrom.eval.DeferProvenance` so the artifact codec
     can serialize deferred formulas (closures themselves never pickle).
@@ -557,20 +535,12 @@ class Defer(Formula):
     provenance but different closures stay distinct nodes.
     """
 
-    __slots__ = ("name", "build", "footprint", "_footprint_cache", "provenance")
-    _fields = ("name", "build", "footprint")
-    _defaults = {"footprint": None}
+    __slots__ = ("name", "build", "provenance")
+    _fields = ("name", "build")
 
-    def __init__(
-        self,
-        name: str,
-        build: Callable[[object], Formula],
-        footprint: Optional[Callable[[], Optional[frozenset]]] = None,
-    ) -> None:
+    def __init__(self, name: str, build: Callable[[object], Formula]) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "build", build)
-        object.__setattr__(self, "footprint", footprint)
-        object.__setattr__(self, "_footprint_cache", _UNSET)
         object.__setattr__(self, "provenance", None)
 
     def force(self, state: object) -> Formula:
@@ -581,22 +551,6 @@ class Defer(Formula):
                 " expected a Formula"
             )
         return built
-
-    def selector_footprint(self) -> Optional[frozenset]:
-        """The queries this deferred body may read when forced, or
-        ``None`` when unknown (no ``footprint`` was attached, or the
-        analysis failed).  Computed once and cached on the node."""
-        cached = self._footprint_cache
-        if cached is _UNSET:
-            if self.footprint is None:
-                cached = None
-            else:
-                try:
-                    cached = self.footprint()
-                except Exception:  # noqa: BLE001 - analysis must never break checking
-                    cached = None
-            object.__setattr__(self, "_footprint_cache", cached)
-        return cached
 
     def __repr__(self) -> str:
         return f"Defer({self.name!r})"

@@ -480,25 +480,13 @@ def to_formula(value, expr: Optional[Expr] = None) -> Formula:
 
 
 def _defer(body: Expr, env: Environment, ctx: EvalContext, label: str) -> Defer:
-    """Quote ``body``: build a deferred formula forced per unroll state.
-
-    The defer carries a *footprint* closure so the compiled engine can
-    narrow the executor's capture set to what the residual can still
-    read (see :func:`repro.specstrom.analysis.live_queries`); it is
-    evaluated lazily -- and at most once per node -- only when a runner
-    actually narrows.
-    """
+    """Quote ``body``: build a deferred formula forced per unroll state."""
 
     def build(state) -> Formula:
         sub_ctx = ctx.with_state(state)
         return to_formula(evaluate(body, env, sub_ctx), body)
 
-    def footprint():
-        from .analysis import expr_selector_footprint
-
-        return expr_selector_footprint(body, env)
-
-    node = Defer(label, build, footprint)
+    node = Defer(label, build)
     object.__setattr__(
         node, "provenance", DeferProvenance(label, body, env, ctx.default_subscript)
     )
@@ -510,9 +498,9 @@ def rebuild_defer(provenance: DeferProvenance) -> Defer:
 
     Used by :mod:`repro.artifact.codec` when decoding an artifact: the
     pickled stream carries the provenance (AST body + captured
-    environment), and the closures are rebuilt here through the same
+    environment), and the closure is rebuilt here through the same
     :func:`_defer` path the evaluator used originally, so a loaded
-    defer forces and narrows exactly like a freshly elaborated one.
+    defer forces exactly like a freshly elaborated one.
     """
     ctx = EvalContext(default_subscript=provenance.default_subscript)
     return _defer(provenance.body, provenance.env, ctx, provenance.name)

@@ -248,8 +248,7 @@ class TestSessionConfig:
         assert cfg.transport is None
         assert cfg.reuse_executors is True
         assert cfg.reporters is None
-        assert (cfg.stop_on_failure, cfg.narrow_queries, cfg.shrink) == \
-               (None, None, None)
+        assert (cfg.stop_on_failure, cfg.shrink) == (None, None)
 
     def test_runner_config_overlay(self):
         from repro.api import SessionConfig
@@ -264,8 +263,8 @@ class TestSessionConfig:
         assert overlaid.tests == 5          # untouched fields survive
         assert base.shrink is True          # the base is not mutated
         # A None base overlays onto the default RunnerConfig.
-        from_none = SessionConfig(narrow_queries=False).runner_config(None)
-        assert from_none.narrow_queries is False
+        from_none = SessionConfig(shrink=False).runner_config(None)
+        assert from_none.shrink is False
 
     def test_merged_returns_an_updated_copy(self):
         from repro.api import SessionConfig

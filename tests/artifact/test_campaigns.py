@@ -7,13 +7,22 @@ test counts identical to one compiled from source.
 """
 
 import base64
+import copyreg
+import io
 
 import pytest
 
 from repro.api import CheckSession, SessionConfig
 from repro.apps.eggtimer import egg_timer_app
-from repro.artifact import artifact_bytes, compile_spec, save_artifact
-from repro.checker import RunnerConfig
+from repro.artifact import (
+    artifact_bytes,
+    codec,
+    compile_spec,
+    load_artifact,
+    save_artifact,
+)
+from repro.artifact.format import pack, read_header
+from repro.checker import CompiledProperty, RunnerConfig
 from repro.specs import spec_path
 
 QUICK = RunnerConfig(tests=4, scheduled_actions=12, demand_allowance=8,
@@ -142,3 +151,48 @@ class TestWorkerArtifactPath:
         finally:
             resolver_module.compile_source = original
         assert calls == []  # loaded, never elaborated
+
+
+class _EarlierBuildPickler(codec._SpecPickler):
+    """Writes each property bundle the way earlier builds did: with a
+    third slot holding the selectors the spec's actions read (the
+    loader ignores it whatever its name)."""
+
+    def reducer_override(self, obj):
+        if type(obj) is CompiledProperty:
+            slots = {
+                "spec": obj.spec,
+                "caches": obj.caches,
+                "action_selectors": frozenset(obj.spec.dependencies),
+            }
+            return (copyreg.__newobj__, (CompiledProperty,), (None, slots))
+        return super().reducer_override(obj)
+
+
+class TestArtifactsFromEarlierBuilds:
+    def test_earlier_container_loads_and_checks_identically(self, tmp_path):
+        bundle = compile_spec(spec_path("eggtimer.strom"))
+        fresh = str(tmp_path / "fresh.qsa")
+        save_artifact(bundle, fresh)
+        _version, header, _offset = read_header(artifact_bytes(bundle))
+        header = {k: v for k, v in header.items()
+                  if k not in ("payload_sha256", "payload_len")}
+        for check in header["checks"]:
+            check["action_footprint"] = check["dependencies"]
+        buffer = io.BytesIO()
+        _EarlierBuildPickler(buffer, protocol=codec._PROTOCOL).dump(bundle)
+        earlier = tmp_path / "earlier.qsa"
+        earlier.write_bytes(pack(header, buffer.getvalue()))
+
+        loaded = load_artifact(str(earlier))
+        assert set(loaded.properties) == set(bundle.properties)
+        cfg = SessionConfig(jobs=1)
+        from_fresh = CheckSession(egg_timer_app()).check_all(
+            fresh, config=QUICK, session=cfg
+        )
+        from_earlier = CheckSession(egg_timer_app()).check_all(
+            str(earlier), config=QUICK, session=cfg
+        )
+        assert [(r.property_name, _verdicts(r)) for r in from_earlier] == [
+            (r.property_name, _verdicts(r)) for r in from_fresh
+        ]

@@ -4,7 +4,7 @@ The payload encoding is the hash-consed formula DAG in pickle's
 children-first (stable topological) stream; the acceptance property is
 not mere equality but *identity* -- a decoded formula must be the very
 interned node the encoder saw, because every downstream layer (memoized
-progression, footprint caches, cohort batching) keys on object
+progression, cohort batching) keys on object
 identity.
 """
 
@@ -111,11 +111,13 @@ class TestSpecModuleRoundTrip:
             # Defers intern by closure identity, so the loaded formula
             # is a *new* interned node -- but structurally it must
             # progress identically, which the campaign-identity tests
-            # assert end to end.  Here: same spine, same footprints.
+            # assert end to end.  Here: same spine, same deferred body,
+            # same dependency set.
             assert type(loaded.formula) is type(original.formula)
             assert loaded.formula.name == original.formula.name
-            assert (loaded.formula.footprint()
-                    == original.formula.footprint())
+            assert (loaded.formula.provenance.body
+                    == original.formula.provenance.body)
+            assert loaded.dependencies == original.dependencies
 
     def test_rebuilt_defers_carry_fresh_provenance(self):
         bundle = compile_spec(spec_path("eggtimer.strom"))

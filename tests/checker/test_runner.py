@@ -1,5 +1,7 @@
 """The checker's test loop: budgets, demand extension, forcing, seeds."""
 
+import random
+
 import pytest
 
 from repro.apps.eggtimer import egg_timer_app
@@ -236,6 +238,27 @@ class TestReplayAccounting:
         replayed = runner.replay(prefix)
         assert replayed is not None
         assert replayed.actions_taken == len(prefix)
+
+
+class TestFullCapture:
+    def test_every_state_captures_the_full_dependency_set(
+        self, counter_module
+    ):
+        spec = counter_module.check_named("safety")
+        runner = Runner(spec, lambda: DomExecutor(counter_app),
+                        RunnerConfig(tests=1, scheduled_actions=6,
+                                     demand_allowance=6, seed=0,
+                                     shrink=False))
+        result = runner.run_single_test(random.Random("t/0"))
+        replayed = runner.replay(list(result.actions))
+        assert replayed is not None
+        for test in (result, replayed):
+            assert len(test.trace) > 1
+            for entry in test.trace:
+                assert set(entry.state.queries) == set(spec.dependencies)
+            assert test.query_width_sum == (
+                test.states_observed * len(spec.dependencies)
+            )
 
 
 class TestWatchedEventsCache:

@@ -24,7 +24,7 @@ from repro.executors import (
     SyncExecutorAdapter,
     ensure_async_executor,
 )
-from repro.protocol.messages import Act, Narrow, Reset, Start
+from repro.protocol.messages import Start
 
 
 class RecordingSync:
@@ -55,10 +55,6 @@ class RecordingSync:
     def stop(self):
         self.calls.append(("stop",))
 
-    def narrow(self, narrow):
-        self.calls.append(("narrow", narrow))
-        return True
-
     def reset(self, reset):
         self.calls.append(("reset", reset))
         return True
@@ -80,19 +76,18 @@ class TestSyncExecutorAdapter:
             assert await adapter.act("the-act") is True
             await adapter.pass_time(50.0)
             await adapter.await_events(100.0)
-            assert await adapter.narrow("the-narrow") is True
             assert await adapter.reset("the-reset") is True
             await adapter.stop()
 
         drive(session())
         assert [name for name, *_ in inner.calls] == [
             "start", "drain", "act", "pass_time", "await_events",
-            "narrow", "reset", "stop",
+            "reset", "stop",
         ]
         assert adapter.version == 3
         assert adapter.now_ms == 120.0
 
-    def test_missing_narrow_and_reset_decline(self):
+    def test_missing_reset_declines(self):
         class Bare:
             version = 0
             now_ms = 0.0
@@ -103,7 +98,6 @@ class TestSyncExecutorAdapter:
         adapter = SyncExecutorAdapter(Bare())
 
         async def session():
-            assert await adapter.narrow(None) is False
             assert await adapter.reset(None) is False
 
         drive(session())

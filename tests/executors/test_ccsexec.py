@@ -63,6 +63,12 @@ class TestBasicDriving:
         (timeout,) = vending.drain()
         assert isinstance(timeout, Timeout)
 
+    def test_restart_captures_its_dependency_set(self, vending):
+        vending.drain()
+        vending.start(Start(frozenset({"coin", "tea"})))
+        (loaded,) = vending.drain()
+        assert set(loaded.state.queries) == {"coin", "tea"}
+
 
 class TestTauActivity:
     @pytest.fixture()
@@ -104,23 +110,3 @@ class TestTauActivity:
         assert len(messages) == 1
         assert isinstance(messages[0], Event)
         assert flaky.now_ms == 200.0
-
-
-class TestNarrowing:
-    def test_narrow_restricts_pseudo_selectors(self, vending):
-        from repro.protocol.messages import Narrow
-
-        vending.drain()
-        assert vending.narrow(Narrow(frozenset({"coin"}))) is True
-        vending.act(ccs_act("coin", 1))
-        (acted,) = vending.drain()
-        assert set(acted.state.queries) == {"coin"}
-
-    def test_start_restores_full_capture(self, vending):
-        from repro.protocol.messages import Narrow
-
-        vending.drain()
-        vending.narrow(Narrow(frozenset({"coin"})))
-        vending.start(Start(frozenset({"coin", "tea", "coffee"})))
-        (loaded,) = vending.drain()
-        assert set(loaded.state.queries) == {"coin", "tea", "coffee"}

@@ -50,6 +50,13 @@ class TestSnapshots:
         messages = executor.drain()
         assert [m.state.version for m in messages] == [2, 3]
 
+    def test_reset_replaces_the_dependency_set(self, executor):
+        from repro.protocol.messages import Reset
+
+        assert executor.reset(Reset(frozenset({"#go", "#secret"}))) is True
+        (loaded,) = executor.drain()
+        assert set(loaded.state.queries) == {"#go", "#secret"}
+
 
 class TestGestures:
     def test_input_replaces_value(self, executor):
@@ -124,46 +131,3 @@ class TestIndexResolution:
             el for el in message.state.queries[".b"] if el.focused
         ]
         assert clicked and clicked[0].attribute("data-n") == "2"
-
-
-class TestNarrowing:
-    def test_narrow_restricts_subsequent_snapshots(self, executor):
-        from repro.protocol.messages import Narrow
-
-        assert executor.narrow(Narrow(frozenset({"#go"}))) is True
-        executor.act(act("click", "#go"))
-        (message,) = executor.drain()
-        assert set(message.state.queries) == {"#go"}
-
-    def test_narrow_intersects_with_the_start_set(self, executor):
-        from repro.protocol.messages import Narrow
-
-        # `#secret` exists in the DOM but was never instrumented; a
-        # narrow cannot widen the session beyond its Start set.
-        executor.narrow(Narrow(frozenset({"#go", "#secret"})))
-        executor.act(act("click", "#go"))
-        (message,) = executor.drain()
-        assert set(message.state.queries) == {"#go"}
-
-    def test_narrow_can_widen_again_up_to_the_start_set(self, executor):
-        from repro.protocol.messages import Narrow
-
-        executor.narrow(Narrow(frozenset({"#go"})))
-        executor.narrow(Narrow(frozenset({"#go", "#field"})))
-        executor.act(act("click", "#go"))
-        (message,) = executor.drain()
-        assert set(message.state.queries) == {"#field", "#go"}
-
-    def test_narrow_before_start_is_declined(self):
-        from repro.protocol.messages import Narrow
-
-        ex = DomExecutor(form_app)
-        assert ex.narrow(Narrow(frozenset({"#go"}))) is False
-
-    def test_reset_restores_full_capture(self, executor):
-        from repro.protocol.messages import Narrow, Reset
-
-        executor.narrow(Narrow(frozenset({"#go"})))
-        assert executor.reset(Reset(frozenset({"#field", "#go"}))) is True
-        (loaded,) = executor.drain()
-        assert set(loaded.state.queries) == {"#field", "#go"}

@@ -23,10 +23,10 @@ def module():
 
 
 def recorded_campaign(check, app_factory, **kwargs):
-    # narrow_queries=False records full states: replay equivalence wants
-    # the monitor to see exactly what the offline checker saw.
+    # Replay equivalence wants the monitor to see exactly the full
+    # states the offline checker saw.
     defaults = dict(tests=3, scheduled_actions=25, demand_allowance=10,
-                    seed=7, shrink=False, narrow_queries=False)
+                    seed=7, shrink=False)
     defaults.update(kwargs)
     return Runner(check, lambda: DomExecutor(app_factory),
                   RunnerConfig(**defaults)).run()

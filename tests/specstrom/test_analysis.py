@@ -96,100 +96,3 @@ class TestCheckSpecDependencies:
             """
         )
         assert module.checks[0].dependencies == frozenset({"#gate", "#target"})
-
-
-class TestExprSelectorFootprint:
-    def _footprint(self, module_source, expr_source):
-        from repro.specstrom.analysis import expr_selector_footprint
-        from repro.specstrom.module import load_module
-
-        module = load_module(module_source)
-        expr = parse_expression(expr_source)
-        return expr_selector_footprint(expr, module.env)
-
-    def test_direct_selector_literals(self):
-        assert self._footprint("", '`#a`.text == `#b`.text') == {"#a", "#b"}
-
-    def test_resolves_evaluated_selector_bindings(self):
-        # A strict top-level let binds an evaluated SelectorValue; the
-        # footprint walk chases the *value*, not just the source text.
-        module = 'let s = `#bound`;'
-        assert self._footprint(module, "s.text") == {"#bound"}
-
-    def test_resolves_lazy_bindings_and_functions(self):
-        module = """
-        let ~stopped = `#toggle`.text == "start";
-        let helper(x) = x == `#aux`.text;
-        """
-        assert self._footprint(module, 'stopped && helper("v")') == {
-            "#toggle", "#aux",
-        }
-
-    def test_locals_shadow_the_environment(self):
-        module = 'let s = `#outer`;'
-        # The block rebinds s; only the block's own selector is read.
-        assert self._footprint(
-            module, "{ let s = `#inner`; s.text }"
-        ) == {"#inner"}
-
-    def test_happened_reads_no_selectors(self):
-        assert self._footprint("", "happened") == frozenset()
-
-
-class TestLiveQueries:
-    def _formula(self, module_source):
-        from repro.specstrom.module import load_module
-
-        return load_module(module_source).checks[0].formula
-
-    def test_whole_property_is_live_before_any_state(self):
-        from repro.specstrom.analysis import live_queries
-
-        formula = self._formula(
-            'check (`#a`.text == "x" && always{3} (`#b`.text == "y"));'
-        )
-        assert live_queries(formula) == {"#a", "#b"}
-
-    def test_residual_drops_the_resolved_conjunct(self):
-        from repro.quickltl import FormulaChecker
-        from repro.specstrom.analysis import live_queries
-        from repro.specstrom.state import ElementSnapshot, StateSnapshot
-
-        formula = self._formula(
-            'check (`#a`.text == "x" && always{3} (`#b`.text == "y"));'
-        )
-        state = StateSnapshot(
-            queries={
-                "#a": (ElementSnapshot(tag="span", text="x"),),
-                "#b": (ElementSnapshot(tag="span", text="y"),),
-            },
-            happened=("loaded?",),
-        )
-        checker = FormulaChecker(formula)
-        checker.observe(state)
-        # `#a` was consumed at the first state: only the always-body
-        # can still read anything.
-        assert live_queries(checker.residual) == {"#b"}
-
-    def test_hand_built_atoms_are_unknown(self):
-        from repro.quickltl import And, atom
-        from repro.specstrom.analysis import live_queries
-
-        assert live_queries(atom("p")) is None
-        # Unknown is absorbing through connectives.
-        formula = self._formula('check always{2} (`#b`.text == "y");')
-        assert live_queries(And(formula, atom("p"))) is None
-
-    def test_untagged_defer_is_unknown(self):
-        from repro.quickltl import TOP
-        from repro.quickltl.syntax import Defer
-        from repro.specstrom.analysis import live_queries
-
-        assert live_queries(Defer("d", lambda state: TOP)) is None
-
-    def test_constants_read_nothing(self):
-        from repro.quickltl import BOTTOM, TOP
-        from repro.specstrom.analysis import live_queries
-
-        assert live_queries(TOP) == frozenset()
-        assert live_queries(BOTTOM) == frozenset()

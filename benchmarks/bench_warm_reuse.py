@@ -50,7 +50,7 @@ import time
 
 import pytest
 
-from repro.api import CheckSession, CheckTarget
+from repro.api import CheckSession, CheckTarget, SessionConfig
 from repro.apps.eggtimer import egg_timer_app
 from repro.apps.todomvc import implementation_named
 from repro.checker import RunnerConfig
@@ -98,8 +98,8 @@ def _audit_batch(reuse: bool):
         ]
         start = time.perf_counter()
         batch = CheckSession().check_many(
-            targets, spec=spec, config=_config(), jobs=1,
-            reuse_executors=reuse,
+            targets, spec=spec, config=_config(),
+            session=SessionConfig(jobs=1, reuse_executors=reuse),
         )
         return batch, time.perf_counter() - start
 
@@ -120,7 +120,8 @@ def _one_app_batch(reuse: bool):
         session = CheckSession(egg_timer_app())
         start = time.perf_counter()
         batch = session.check_many(
-            targets, config=_config(), jobs=1, reuse_executors=reuse
+            targets, config=_config(),
+            session=SessionConfig(jobs=1, reuse_executors=reuse),
         )
         return batch, time.perf_counter() - start
 

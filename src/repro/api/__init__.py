@@ -21,7 +21,7 @@ available as the single-test engine underneath.
 
 from .config import SessionConfig
 from .engines import AsyncEngine, CampaignEngine, ParallelEngine, SerialEngine
-from .lease import AsyncExecutorLease, ExecutorCache, ExecutorLease
+from .lease import ExecutorCache, ExecutorLease
 from .pool import (
     PoolMetrics,
     PoolTask,
@@ -34,10 +34,8 @@ from .reporters import (
     ConsoleReporter,
     JsonlReporter,
     JUnitXmlReporter,
-    LegacyReporterAdapter,
     ProgressReporter,
     Reporter,
-    adapt_reporter,
 )
 from .scheduler import (
     CampaignOutcome,
@@ -69,7 +67,6 @@ __all__ = [
     "CheckTarget",
     "PooledScheduler",
     "ExecutorCache",
-    "AsyncExecutorLease",
     "ExecutorLease",
     "PoolMetrics",
     "PoolTask",
@@ -84,7 +81,5 @@ __all__ = [
     "ConsoleReporter",
     "JsonlReporter",
     "JUnitXmlReporter",
-    "LegacyReporterAdapter",
     "ProgressReporter",
-    "adapt_reporter",
 ]

@@ -14,7 +14,16 @@ module provides that seam:
   index, so the *first failing index* -- not the first failure to
   arrive -- wins ``stop_on_failure`` and shrinking.  Verdicts,
   counterexamples and per-test results are identical to the serial
-  engine for the same seed.
+  engine for the same seed;
+* :class:`AsyncEngine` -- interleaves the campaign's sessions on one
+  event loop through :meth:`Runner.run_single_test_async
+  <repro.checker.runner.Runner.run_single_test_async>`, each session
+  leasing a synchronous executor and driving it through its async view
+  (``wrap``), merged by index the same way.
+
+Every engine runs a test through the same session path: a lease from
+the (optional) :class:`~repro.api.lease.ExecutorCache`, then the
+runner's one session loop.
 
 Cross-campaign fan-out (many properties / many targets on one pool)
 lives one layer up, in :mod:`repro.api.scheduler`, on the same
@@ -123,8 +132,6 @@ def campaign_tasks(
         warm_compiled()
     remote_descriptor = getattr(runner, "remote", None)
     reuse = cache is not None and cache.enabled
-    # (getattr: duck-typed runner stand-ins predate the async driver.)
-    run_async = getattr(runner, "run_single_test_async", None)
 
     def make_task(index: int) -> PoolTask:
         def record(result: object) -> None:
@@ -140,19 +147,6 @@ def campaign_tasks(
             record(result)
             return result
 
-        athunk = None
-        if run_async is not None:
-            async def athunk() -> TestResult:
-                rng = random.Random(_test_seed(config.seed, index))
-                if cache is not None:
-                    result = await run_async(
-                        rng, lease=cache.async_lease(runner.executor_factory)
-                    )
-                else:
-                    result = await run_async(rng)
-                record(result)
-                return result
-
         def past_first_failure() -> bool:
             return index > first_fail.value
 
@@ -166,7 +160,7 @@ def campaign_tasks(
                 "runner": remote_descriptor,
             }
         return PoolTask(task_id, thunk, skip=skip, payload=payload,
-                        record=record, athunk=athunk)
+                        record=record)
 
     return [make_task(index) for index in range(config.tests)]
 
@@ -285,9 +279,11 @@ class AsyncEngine(CampaignEngine):
     counterexamples and reporter streams are identical to the serial
     engine for the same seed.
 
-    ``wrap`` optionally decorates each factory-built executor (e.g.
-    ``lambda ex: LatencyExecutor(ex, latency_ms=5)``) before it is
-    adapted for the async driver; ``metrics`` (a
+    ``wrap`` optionally builds each session's async view of its
+    checked-out executor (e.g. ``lambda ex: LatencyExecutor(ex,
+    latency_ms=5)``); without it sessions run through the inline
+    :class:`~repro.executors.base.SyncExecutorAdapter`, which never
+    yields, so they run one after another.  ``metrics`` (a
     :class:`~repro.api.pool.PoolMetrics`) receives the in-flight gauges
     (``inflight_sessions``, ``mean_concurrency``, ``await_ratio``).
     """
@@ -320,8 +316,7 @@ class AsyncEngine(CampaignEngine):
         reporters: Sequence[Reporter] = (),
         cache: Optional[ExecutorCache] = None,
     ) -> CampaignResult:
-        """:meth:`run` for callers that already own a loop (the
-        multiplexed remote worker drives one engine per slot)."""
+        """:meth:`run` for callers that already own a loop."""
         for reporter in reporters:
             reporter.on_campaign_start(runner.spec.name, runner.config.tests)
         outcomes = await self._gather(runner, cache)
@@ -333,7 +328,6 @@ class AsyncEngine(CampaignEngine):
         config = runner.config
         metrics = self.metrics
         wrap = self.wrap
-        factory = runner.executor_factory
         # Warm the shared spec state once, before sessions interleave
         # (same reason the pooled schedulers warm before forking).
         warm_watched = getattr(runner, "watched_events", None)
@@ -342,10 +336,6 @@ class AsyncEngine(CampaignEngine):
         warm_compiled = getattr(runner, "compiled_spec", None)
         if warm_compiled is not None:
             warm_compiled()
-
-        def session_factory():
-            executor = factory()
-            return executor if wrap is None else wrap(executor)
 
         semaphore = asyncio.Semaphore(self.concurrency)
         first_fail = [config.tests]
@@ -362,18 +352,14 @@ class AsyncEngine(CampaignEngine):
                     metrics.sample_inflight(inflight[0])
                 try:
                     rng = random.Random(_test_seed(config.seed, index))
+                    lease = (
+                        None if cache is None
+                        else cache.lease(runner.executor_factory)
+                    )
                     try:
-                        if cache is not None:
-                            result = await runner.run_single_test_async(
-                                rng,
-                                lease=cache.async_lease(
-                                    session_factory, key=factory
-                                ),
-                            )
-                        else:
-                            result = await runner.run_single_test_async(
-                                rng, executor_factory=session_factory
-                            )
+                        result = await runner.run_single_test_async(
+                            rng, lease=lease, wrap=wrap
+                        )
                     except Exception as err:
                         return index, TaskFailure(err)
                     if result.failed:

@@ -25,6 +25,16 @@ amortises it:
   optimisation, never a semantics change.  ``checkin`` parks the
   executor for the next test instead of stopping it.
 
+There is one lease for every driving mode.  The cache parks exactly
+what factories build -- synchronous executors -- and
+``Start``/``Reset``/``stop`` run synchronously inside the lease.
+Async sessions add their per-session view (the inline
+:class:`~repro.executors.base.SyncExecutorAdapter`, or a caller's
+``wrap`` such as a seeded :class:`~repro.executors.base.LatencyExecutor`)
+at checkout, in the runner, so a warm executor parked by a synchronous
+test serves the next async one and vice versa, and a wrapper's state
+(its latency RNG) never outlives the session that made it.
+
 Determinism is non-negotiable: ``reset`` contracts an observationally
 identical session (same initial state, virtual time origin and trace
 versioning), so warm-reuse verdicts, counterexamples and reporter event
@@ -38,15 +48,14 @@ Warm hits and cold starts are counted through shared counters (a
 
 from __future__ import annotations
 
-import asyncio
 import threading
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional
 
-from ..executors.base import AsyncExecutor, ensure_async_executor
+from ..executors.base import AsyncExecutor
 from ..protocol.messages import Reset, Start
-from .pool import _ThreadCounter
+from .transport.base import ThreadCounter
 
-__all__ = ["AsyncExecutorLease", "ExecutorCache", "ExecutorLease"]
+__all__ = ["ExecutorCache", "ExecutorLease"]
 
 
 def _bump(counter) -> None:
@@ -54,34 +63,11 @@ def _bump(counter) -> None:
         counter.value += 1
 
 
-def _retire(executor) -> None:
-    """Stop an executor from a context that cannot await: async
-    executors offer ``stop_nowait`` for exactly this, synchronous ones
-    just stop."""
-    stop_nowait = getattr(executor, "stop_nowait", None)
-    if stop_nowait is not None:
-        stop_nowait()
-    else:
-        executor.stop()
-
-
-async def _stop_parked(executor) -> None:
-    """Stop a parked executor from async code, whichever protocol it
-    speaks; a dead session refusing to stop must not fail the test."""
-    try:
-        if isinstance(executor, AsyncExecutor):
-            await executor.stop()
-        else:
-            executor.stop()
-    except Exception:
-        pass
-
-
 class ExecutorCache:
     """A per-worker pool of warm executors, keyed by target identity.
 
-    The default key is the executor *factory object* itself: every test
-    of a campaign shares its runner's factory, and ``check_all`` /
+    The key is the executor *factory object* itself: every test of a
+    campaign shares its runner's factory, and ``check_all`` /
     session-app ``check_many`` batches share one factory across
     campaigns, so warm reuse spans exactly the tasks that test the same
     application.  Distinct targets have distinct factories and can never
@@ -104,10 +90,11 @@ class ExecutorCache:
     ``depth`` bounds how many warm executors one *key* may hold.  The
     default (1) is right for strictly sequential reuse; a shared cache
     serving concurrent leases of the same target (the thread-fallback
-    pool, or a worker interleaving two targets' tasks under dynamic
-    dispatch) wants ``depth >= jobs`` -- with depth 1, two overlapping
-    leases of one key evict each other's executor at every checkin and
-    warm reuse silently degrades to cold starts.
+    pool, a worker interleaving two targets' tasks under dynamic
+    dispatch, or sessions interleaving on one event loop) wants
+    ``depth >= jobs`` -- with depth 1, two overlapping leases of one key
+    evict each other's executor at every checkin and warm reuse
+    silently degrades to cold starts.
     """
 
     def __init__(
@@ -124,88 +111,49 @@ class ExecutorCache:
         self.max_entries = max_entries
         self.depth = depth
         self.warm_hits = (
-            warm_hits if warm_hits is not None else _ThreadCounter(0)
+            warm_hits if warm_hits is not None else ThreadCounter(0)
         )
         self.cold_starts = (
-            cold_starts if cold_starts is not None else _ThreadCounter(0)
+            cold_starts if cold_starts is not None else ThreadCounter(0)
         )
-        #: key -> (loop-tag, executor) pairs, oldest first; key order is
-        #: recency.  The tag is the asyncio loop the executor was parked
-        #: from, or None for synchronous parks: an executor never crosses
-        #: from one loop to another (or between sync and async use) --
-        #: its adapter's in-flight machinery belongs to one loop.
-        self._entries: Dict[Hashable, List[Tuple[object, object]]] = {}
+        #: key -> parked executors, oldest first; key order is recency.
+        self._entries: Dict[Hashable, List[object]] = {}
         self._lock = threading.Lock()
 
-    def lease(
-        self, factory: Callable[[], object], key: Optional[Hashable] = None
-    ) -> "ExecutorLease":
-        """A lease for one test against ``factory``'s target (``key``
-        overrides the identity when factories are built per-call)."""
-        return ExecutorLease(self, factory, factory if key is None else key)
-
-    def async_lease(
-        self, factory: Callable[[], object], key: Optional[Hashable] = None
-    ) -> "AsyncExecutorLease":
-        """The awaitable counterpart of :meth:`lease`: checkout/checkin
-        are coroutines and the parked executors are loop-tagged so
-        concurrent sessions on one loop share warmth safely."""
-        return AsyncExecutorLease(self, factory, factory if key is None else key)
+    def lease(self, factory: Callable[[], object]) -> "ExecutorLease":
+        """A lease for one test against ``factory``'s target."""
+        return ExecutorLease(self, factory)
 
     def checkout(self, key: Hashable) -> Optional[object]:
         """Claim a warm executor for ``key``, or None on a miss.  The
         entry is *removed*: an executor is only ever owned by one task.
         The most recently parked executor is claimed first (LIFO), so
         sequential reuse keeps touching the same warm session."""
-        return self._checkout_tagged(key, None)
-
-    def _checkout_tagged(self, key: Hashable, loop) -> Optional[object]:
-        """Claim the most recent warm executor parked under the same
-        loop tag.  Entries with a *different* tag are retired on sight:
-        their loop is gone (or they belong to the other driving mode)
-        and a cross-loop checkout would hand a task an executor whose
-        coroutines can never run."""
-        mismatched = []
-        found = None
         with self._lock:
             stack = self._entries.get(key)
-            if stack:
-                while stack:
-                    tag, executor = stack.pop()
-                    if tag is loop:
-                        found = executor
-                        break
-                    mismatched.append(executor)
-                if not stack:
-                    del self._entries[key]
-        for stale in mismatched:
-            _retire(stale)
-        return found
+            if not stack:
+                return None
+            executor = stack.pop()
+            if not stack:
+                del self._entries[key]
+            return executor
 
     def checkin(self, key: Hashable, executor: object) -> None:
-        """Park a still-warm executor for the next test of ``key``."""
-        for stale in self._checkin_collect(key, executor, None):
-            _retire(stale)
-
-    def _checkin_collect(
-        self, key: Hashable, executor: object, loop
-    ) -> List[object]:
-        """Park ``executor`` under its loop tag; returns the executors
-        evicted by the depth/size bounds for the caller to stop in its
-        own idiom (sync call or await)."""
+        """Park a still-warm executor for the next test of ``key``,
+        stopping whatever the depth/size bounds evict."""
         evicted: List[object] = []
         with self._lock:
             stack = self._entries.pop(key, None)
             if stack is None:
                 stack = []
-            if any(parked is executor for _, parked in stack):
+            if any(parked is executor for parked in stack):
                 # Cannot happen under the checkout-removes discipline,
                 # but a double checkin must not double-park a session.
                 self._entries[key] = stack
-                return evicted
-            stack.append((loop, executor))
+                return
+            stack.append(executor)
             while len(stack) > self.depth:
-                evicted.append(stack.pop(0)[1])
+                evicted.append(stack.pop(0))
             # Key insertion order doubles as recency: checkout/checkin
             # re-append, so the front key is least recently used.
             self._entries[key] = stack
@@ -216,10 +164,11 @@ class ExecutorCache:
             ):
                 oldest_key = next(iter(self._entries))
                 oldest = self._entries[oldest_key]
-                evicted.append(oldest.pop(0)[1])
+                evicted.append(oldest.pop(0))
                 if not oldest:
                     del self._entries[oldest_key]
-        return evicted
+        for stale in evicted:
+            stale.stop()
 
     def release(self, key: Hashable) -> None:
         """Stop and drop every warm executor for ``key``.
@@ -234,8 +183,8 @@ class ExecutorCache:
         worker's lifetime."""
         with self._lock:
             stack = self._entries.pop(key, [])
-        for _, executor in stack:
-            _retire(executor)
+        for executor in stack:
+            executor.stop()
 
     def close(self) -> None:
         """Stop and drop every warm executor (end of batch)."""
@@ -243,11 +192,11 @@ class ExecutorCache:
             entries = [
                 executor
                 for stack in self._entries.values()
-                for _, executor in stack
+                for executor in stack
             ]
             self._entries.clear()
         for executor in entries:
-            _retire(executor)
+            executor.stop()
 
     def __len__(self) -> int:
         """Number of parked warm executors (across all keys)."""
@@ -261,23 +210,25 @@ class ExecutorLease:
     The runner calls :meth:`checkout` with its ``Start`` message in
     place of ``factory() + start()``, and :meth:`checkin` in place of
     ``stop()``; everything between is unchanged.  ``warm`` records
-    which path the checkout took (benchmarks and tests read it).
+    which path the checkout took (benchmarks, tests and the remote
+    worker's per-task counters read it).
     """
 
-    __slots__ = ("cache", "factory", "key", "warm")
+    __slots__ = ("cache", "factory", "warm")
 
     def __init__(
-        self, cache: ExecutorCache, factory: Callable[[], object], key: Hashable
+        self, cache: ExecutorCache, factory: Callable[[], object]
     ) -> None:
         self.cache = cache
         self.factory = factory
-        self.key = key
         self.warm = False
 
     def checkout(self, start: Start) -> object:
         """A started executor for one test: warm-reset when possible,
         freshly constructed otherwise."""
-        executor = self.cache.checkout(self.key) if self.cache.enabled else None
+        executor = (
+            self.cache.checkout(self.factory) if self.cache.enabled else None
+        )
         if executor is not None:
             reset = getattr(executor, "reset", None)
             try:
@@ -303,8 +254,10 @@ class ExecutorLease:
         executor = self.factory()
         if isinstance(executor, AsyncExecutor):
             raise TypeError(
-                "executor factory produced an AsyncExecutor; use "
-                "ExecutorCache.async_lease for async sessions"
+                "executor factory produced an AsyncExecutor; factories "
+                "build synchronous executors and the runner adds the "
+                "async view per session (pass wrap= to "
+                "run_single_test_async)"
             )
         executor.start(start)
         return executor
@@ -313,72 +266,6 @@ class ExecutorLease:
         """Return the executor after the test: parked warm for the next
         lease of the same target, or stopped when reuse is disabled."""
         if self.cache.enabled:
-            self.cache.checkin(self.key, executor)
+            self.cache.checkin(self.factory, executor)
         else:
             executor.stop()
-
-
-class AsyncExecutorLease:
-    """One async session's claim on a (possibly warm) executor.
-
-    The awaitable mirror of :class:`ExecutorLease`, used by
-    :meth:`Runner.run_single_test_async
-    <repro.checker.runner.Runner.run_single_test_async>`: checkout and
-    checkin await the ``Reset``/``stop`` round-trips, and parked
-    executors carry the running loop as their tag so a cache shared by
-    several loops (or by sync and async callers) never hands a session
-    across the boundary.  The factory's product is adapted through
-    :func:`~repro.executors.base.ensure_async_executor`, so plain
-    synchronous factories work unchanged.
-    """
-
-    __slots__ = ("cache", "factory", "key", "warm")
-
-    def __init__(
-        self, cache: ExecutorCache, factory: Callable[[], object], key: Hashable
-    ) -> None:
-        self.cache = cache
-        self.factory = factory
-        self.key = key
-        self.warm = False
-
-    async def checkout(self, start: Start) -> AsyncExecutor:
-        """A started async executor for one session: warm-reset when
-        possible, freshly constructed (and adapted) otherwise."""
-        cache = self.cache
-        executor = None
-        if cache.enabled:
-            executor = cache._checkout_tagged(
-                self.key, asyncio.get_running_loop()
-            )
-        if executor is not None:
-            try:
-                was_reset = await executor.reset(
-                    Reset(start.dependencies, start.events)
-                )
-            except Exception:
-                # Same contract as the sync lease: a warm session dying
-                # mid-reset costs a cold start, never a failed test.
-                was_reset = False
-            if was_reset:
-                self.warm = True
-                _bump(cache.warm_hits)
-                return executor
-            await _stop_parked(executor)
-        self.warm = False
-        _bump(cache.cold_starts)
-        executor = ensure_async_executor(self.factory())
-        await executor.start(start)
-        return executor
-
-    async def checkin(self, executor: AsyncExecutor) -> None:
-        """Park the executor under this loop's tag (stopping whatever
-        the bounds evict), or stop it when reuse is disabled."""
-        if self.cache.enabled:
-            evicted = self.cache._checkin_collect(
-                self.key, executor, asyncio.get_running_loop()
-            )
-            for stale in evicted:
-                await _stop_parked(stale)
-        else:
-            await executor.stop()

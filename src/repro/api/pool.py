@@ -34,7 +34,6 @@ from .transport.base import (  # noqa: F401 - re-exported vocabulary
     PoolTask,
     PoolTransport,
     TaskFailure,
-    ThreadCounter,
     WorkerCrashed,
     resolve_transport,
 )
@@ -51,10 +50,6 @@ __all__ = [
     "resolve_transport",
     "suggest_jobs",
 ]
-
-#: Compatibility alias: the counter predates the transport package and
-#: :mod:`repro.api.lease` (among others) imports it under this name.
-_ThreadCounter = ThreadCounter
 
 #: Queue-depth sampling stops growing past this many points; enough to
 #: plot any realistic batch without unbounded memory on huge ones.

@@ -17,8 +17,14 @@ behind :class:`PoolTransport`:
   are told to shut down);
 * **capacity** -- :meth:`PoolTransport.capacity` reports how much
   useful parallelism the transport can offer (the local CPU count, or
-  the summed slots of connected remote workers), which is what the
-  adaptive ``--jobs auto`` heuristic clamps against.
+  the summed slots x concurrency of connected remote workers), which is
+  what the adaptive ``--jobs auto`` heuristic clamps against.
+
+A task is one synchronous thunk.  Local workers (forked processes or
+threads) run one task at a time; the simulated executors are CPU-bound,
+so parallelism comes from the number of workers, not from interleaving
+sessions inside one.  Only remote workers multiplex sessions (``repro
+worker --concurrency``), on their own event loop.
 
 The task vocabulary (:class:`PoolTask`, :data:`SKIPPED`,
 :class:`TaskFailure`, :class:`WorkerCrashed`) is shared by every
@@ -28,7 +34,6 @@ re-exports it for compatibility.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from abc import ABC, abstractmethod
 from typing import Callable, Dict, Hashable, List, Optional, Sequence
@@ -42,7 +47,6 @@ __all__ = [
     "WorkerCrashed",
     "resolve_transport",
     "run_task",
-    "run_task_async",
 ]
 
 
@@ -101,16 +105,9 @@ class PoolTask:
     remote worker cannot touch the coordinator's counters, so the
     transport calls ``record(result)`` as each remote result arrives
     (local transports never call it -- their thunks already ran it).
-
-    ``athunk`` is the task's awaitable face, for workers multiplexing
-    several sessions on one event loop (``concurrency > 1``): an async
-    callable that produces the *same* outcome as ``thunk``.  Tasks
-    without one still run under a multiplexed worker -- the thunk is
-    shipped to the loop's thread pool by :func:`run_task_async` -- they
-    just cannot interleave at protocol-call granularity.
     """
 
-    __slots__ = ("id", "thunk", "skip", "payload", "record", "athunk")
+    __slots__ = ("id", "thunk", "skip", "payload", "record")
 
     def __init__(
         self,
@@ -119,14 +116,12 @@ class PoolTask:
         skip: Optional[Callable[[], bool]] = None,
         payload: Optional[dict] = None,
         record: Optional[Callable[[object], None]] = None,
-        athunk: Optional[Callable[[], object]] = None,
     ) -> None:
         self.id = id
         self.thunk = thunk
         self.skip = skip
         self.payload = payload
         self.record = record
-        self.athunk = athunk
 
 
 class TaskFailure:
@@ -169,23 +164,6 @@ def run_task(task: PoolTask) -> object:
         return SKIPPED
     try:
         return task.thunk()
-    except Exception as err:
-        return TaskFailure(err)
-
-
-async def run_task_async(task: PoolTask) -> object:
-    """:func:`run_task` for multiplexed workers: prefers the task's
-    ``athunk`` (true protocol-level interleaving); tasks that only have
-    a sync thunk run it on the loop's thread pool so the lane still
-    frees the loop while it blocks.  Outcome vocabulary is identical.
-    """
-    if task.skip is not None and task.skip():
-        return SKIPPED
-    try:
-        if task.athunk is not None:
-            return await task.athunk()
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, task.thunk)
     except Exception as err:
         return TaskFailure(err)
 

@@ -19,6 +19,12 @@ pull the next id when free, so a slow campaign cannot strand the pool
 the way static round-robin can.  Determinism is unaffected -- outcomes
 are keyed by task id and merged in submission order by the caller.
 
+Each worker runs one task at a time through
+:func:`~repro.api.transport.base.run_task`.  The simulated executors
+never block on I/O, so a second session inside a worker would have
+nothing to overlap: width comes from the number of workers, and
+``capacity()`` is the CPU count.
+
 ``KeyboardInterrupt``/``SystemExit`` inside a task are deliberately not
 caught in the worker: they must kill it promptly.  The parent's collect
 loop tears the pool down (terminate + join) on any error, including an
@@ -28,7 +34,6 @@ worker processes.
 
 from __future__ import annotations
 
-import asyncio
 import queue as queue_module
 import time
 from typing import Dict, Hashable
@@ -36,10 +41,8 @@ from typing import Dict, Hashable
 from .base import (
     SKIPPED,
     PoolTransport,
-    ThreadCounter,
     WorkerCrashed,
     run_task,
-    run_task_async,
 )
 
 __all__ = ["ForkTransport", "ThreadTransport"]
@@ -48,65 +51,16 @@ __all__ = ["ForkTransport", "ThreadTransport"]
 LOCAL_HOST = "local"
 
 
-def _check_concurrency(concurrency: int) -> int:
-    if concurrency < 1:
-        raise ValueError(f"concurrency must be at least 1, got {concurrency}")
-    return concurrency
-
-
-async def _serve_lanes(task_queue, concurrency, lane_body) -> None:
-    """Body of a multiplexed worker slot: ``concurrency`` interchangeable
-    lanes pull positions from ``task_queue`` until each eats a sentinel.
-
-    Lanes block in ``queue.get`` on the loop's executor threads, and the
-    sessions themselves (``SyncExecutorAdapter``) need executor threads
-    for their protocol calls, so the default pool is resized to hold
-    both populations -- otherwise lanes parked in ``get`` could starve
-    the very calls that would let them finish.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    loop = asyncio.get_running_loop()
-    loop.set_default_executor(
-        ThreadPoolExecutor(max_workers=2 * concurrency + 4)
-    )
-
-    async def lane(lane_id: int) -> None:
-        while True:
-            position = await loop.run_in_executor(None, task_queue.get)
-            if position < 0:
-                return
-            await lane_body(lane_id, position)
-
-    await asyncio.gather(*(lane(lane_id) for lane_id in range(concurrency)))
-
-
 class ForkTransport(PoolTransport):
-    """A bounded set of forked workers fed from a task queue.
-
-    ``concurrency`` multiplexes that many concurrent sessions on an
-    event loop inside *each* forked worker: positions are pulled by
-    interchangeable lanes and run through
-    :func:`~repro.api.transport.base.run_task_async`, so a worker slot
-    pinned on I/O-bound sessions keeps its CPU busy.  ``capacity()``
-    reports cores x concurrency accordingly.  With the default
-    (``concurrency=1``) the classic synchronous worker body runs,
-    byte-for-byte.
-    """
+    """A bounded set of forked workers fed from a task queue."""
 
     name = "fork"
 
-    def __init__(self, ctx, concurrency: int = 1) -> None:
+    def __init__(self, ctx) -> None:
         if ctx is None:
             raise ValueError("ForkTransport needs a fork multiprocessing context")
         self._ctx = ctx
-        self.concurrency = _check_concurrency(concurrency)
         self.last_workers = []
-
-    def capacity(self) -> int:
-        import os
-
-        return (os.cpu_count() or 1) * self.concurrency
 
     def make_counter(self, initial: int):
         """Shared memory: must be created *before* ``run`` forks."""
@@ -116,45 +70,33 @@ class ForkTransport(PoolTransport):
         self, tasks, jobs, on_result=None, metrics=None, worker_exit=None
     ) -> Dict[Hashable, object]:
         ctx = self._ctx
-        concurrency = self.concurrency
         workers = min(jobs, len(tasks))
         by_position = {position: task for position, task in enumerate(tasks)}
         task_queue = ctx.Queue()
         result_queue = ctx.Queue()
-        # Per-lane announcement slots (one per worker when concurrency
-        # is 1), written through shared memory *synchronously* before a
-        # task runs.  A queue message could be lost when ``os._exit``
-        # kills the feeder thread mid-flush; the shared write cannot, so
-        # crash attribution survives even the rudest deaths.
-        announce = ctx.Array("i", [-1] * (workers * concurrency), lock=False)
+        # Per-worker announcement slots, written through shared memory
+        # *synchronously* before a task runs.  A queue message could be
+        # lost when ``os._exit`` kills the feeder thread mid-flush; the
+        # shared write cannot, so crash attribution survives even the
+        # rudest deaths.
+        announce = ctx.Array("i", [-1] * workers, lock=False)
         for position in range(len(tasks)):
             task_queue.put(position)
-        # One sentinel per lane: every lane pulls until it eats one.
-        for _ in range(workers * concurrency):
+        # One sentinel per worker: every worker pulls until it eats one.
+        for _ in range(workers):
             task_queue.put(-1)
 
         def work(worker_id: int) -> None:
             try:
-                if concurrency == 1:
-                    while True:
-                        position = task_queue.get()
-                        if position < 0:
-                            break
-                        announce[worker_id] = position
-                        started = time.perf_counter()
-                        outcome = run_task(by_position[position])
-                        elapsed = time.perf_counter() - started
-                        result_queue.put((position, outcome, worker_id, elapsed))
-                    return
-
-                async def lane_body(lane_id: int, position: int) -> None:
-                    announce[worker_id * concurrency + lane_id] = position
+                while True:
+                    position = task_queue.get()
+                    if position < 0:
+                        break
+                    announce[worker_id] = position
                     started = time.perf_counter()
-                    outcome = await run_task_async(by_position[position])
+                    outcome = run_task(by_position[position])
                     elapsed = time.perf_counter() - started
                     result_queue.put((position, outcome, worker_id, elapsed))
-
-                asyncio.run(_serve_lanes(task_queue, concurrency, lane_body))
             finally:
                 # Clean worker shutdown: release per-worker state (warm
                 # executors) that only exists in this forked child.
@@ -250,10 +192,9 @@ class ForkTransport(PoolTransport):
                 on_result(task_id, outcome)
         lost = []
         for worker_id, process in dead:
-            for lane in range(self.concurrency):
-                position = announce[worker_id * self.concurrency + lane]
-                if position >= 0 and tasks[position].id not in outcomes:
-                    lost.append((worker_id, process, tasks[position].id))
+            position = announce[worker_id]
+            if position >= 0 and tasks[position].id not in outcomes:
+                lost.append((worker_id, process, tasks[position].id))
         if not lost:
             # The worker died between tasks; its queued work is still
             # reachable by surviving workers, unless none remain.
@@ -282,25 +223,12 @@ class ForkTransport(PoolTransport):
 
 
 class ThreadTransport(PoolTransport):
-    """The thread fallback: same dispatch, same crash semantics.
-
-    ``concurrency`` mirrors :class:`ForkTransport`: each worker thread
-    runs an event loop multiplexing that many session lanes.
-    """
+    """The thread fallback: same dispatch, same crash semantics."""
 
     name = "thread"
 
-    def __init__(self, concurrency: int = 1) -> None:
-        self.concurrency = _check_concurrency(concurrency)
+    def __init__(self) -> None:
         self.last_workers = []
-
-    def capacity(self) -> int:
-        import os
-
-        return (os.cpu_count() or 1) * self.concurrency
-
-    def make_counter(self, initial: int):
-        return ThreadCounter(initial)
 
     def run(
         self, tasks, jobs, on_result=None, metrics=None, worker_exit=None
@@ -309,7 +237,6 @@ class ThreadTransport(PoolTransport):
         # state, which the caller cleans up itself.
         import threading
 
-        concurrency = self.concurrency
         workers = min(jobs, len(tasks))
         # Positions in the queue, like fork mode: user task ids never
         # travel in-band, so no id can collide with a control signal.
@@ -317,44 +244,24 @@ class ThreadTransport(PoolTransport):
         result_queue: queue_module.Queue = queue_module.Queue()
         for position in range(len(tasks)):
             task_queue.put(position)
-        for _ in range(workers * concurrency):
+        for _ in range(workers):
             task_queue.put(-1)
 
         def work(worker_id: int) -> None:
-            if concurrency == 1:
-                while True:
-                    position = task_queue.get()
-                    if position < 0:
-                        break
-                    started = time.perf_counter()
-                    try:
-                        outcome = run_task(tasks[position])
-                    except BaseException as err:  # noqa: BLE001 - crash parity
-                        # A thread cannot die like a process; model the
-                        # fork-mode crash so callers see one behaviour.
-                        result_queue.put(("crash", worker_id, position, err, 0.0))
-                        break
-                    elapsed = time.perf_counter() - started
-                    result_queue.put(("done", worker_id, position, outcome, elapsed))
-                return
-
-            async def lane_body(lane_id: int, position: int) -> None:
+            while True:
+                position = task_queue.get()
+                if position < 0:
+                    break
                 started = time.perf_counter()
                 try:
-                    outcome = await run_task_async(tasks[position])
+                    outcome = run_task(tasks[position])
                 except BaseException as err:  # noqa: BLE001 - crash parity
+                    # A thread cannot die like a process; model the
+                    # fork-mode crash so callers see one behaviour.
                     result_queue.put(("crash", worker_id, position, err, 0.0))
-                    raise
+                    break
                 elapsed = time.perf_counter() - started
                 result_queue.put(("done", worker_id, position, outcome, elapsed))
-
-            try:
-                asyncio.run(_serve_lanes(task_queue, concurrency, lane_body))
-            except BaseException:  # noqa: BLE001 - already reported above
-                # The crash frame is on the result queue; the collector
-                # aborts the batch and re-feeds sentinels so sibling
-                # lanes blocked in ``get`` unwind.
-                pass
 
         threads = [
             threading.Thread(target=work, args=(w,), daemon=True)
@@ -401,7 +308,7 @@ class ThreadTransport(PoolTransport):
                     task_queue.get_nowait()
             except queue_module.Empty:
                 pass
-            for _ in range(len(threads) * concurrency):
+            for _ in range(len(threads)):
                 task_queue.put(-1)
             for thread in threads:
                 thread.join(timeout=1.0)

@@ -147,20 +147,21 @@ class TcpTransport(PoolTransport):
                 })
                 sock.close()
                 return
-        except (OSError, FrameError):
+            # Parsed inside the guard: a hostile hello (``"pid": "x"``,
+            # ``"slots": 1e999``) is a closed socket, not a dead thread.
+            host = str(hello.get("host", "?"))
+            pid = int(hello.get("pid", 0))
+            slots = max(1, int(hello.get("slots", 1)))
+            concurrency = max(1, int(hello.get("concurrency", 1)))
+        except (OSError, FrameError, TypeError, ValueError, OverflowError):
             sock.close()
             return
         with self._lock:
             worker_id = self._next_worker_id
             self._next_worker_id += 1
         worker = _RemoteWorker(
-            sock,
-            worker_id,
-            host=str(hello.get("host", "?")),
-            pid=int(hello.get("pid", 0)),
-            slots=max(1, int(hello.get("slots", 1))),
-            now=self._now(),
-            concurrency=max(1, int(hello.get("concurrency", 1))),
+            sock, worker_id, host=host, pid=pid, slots=slots,
+            now=self._now(), concurrency=concurrency,
         )
         try:
             send_frame(sock, {"type": "welcome", "worker_id": worker_id})
@@ -198,6 +199,13 @@ class TcpTransport(PoolTransport):
         with self._lock:
             if worker in self._workers:
                 self._workers.remove(worker)
+        try:
+            # shutdown, not just close: the connection's reader thread
+            # is blocked in recv on this socket, and a bare close from
+            # another thread neither wakes it nor tells the peer.
+            worker.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             worker.sock.close()
         except OSError:
@@ -327,7 +335,15 @@ class TcpTransport(PoolTransport):
             elif mtype in ("result", "failure"):
                 if message.get("epoch") != epoch:
                     continue  # straggler from an aborted batch
-                position = int(message["id"])
+                position = message.get("id")
+                if (
+                    type(position) is not int
+                    or not 0 <= position < len(tasks)
+                ):
+                    # No honest worker sends this; its other in-flight
+                    # tasks cannot be trusted to come back either.
+                    reap(worker, f"bad task id {position!r}")
+                    continue
                 worker.in_flight.pop(position, None)
                 if tasks[position].id in outcomes:
                     continue  # completed by a requeue race

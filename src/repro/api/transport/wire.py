@@ -82,7 +82,9 @@ def recv_frame(sock: socket.socket) -> dict:
         raise FrameError(f"frame of {length} bytes exceeds {MAX_FRAME} cap")
     try:
         message = json.loads(_recv_exact(sock, length).decode("utf-8"))
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:
+        # RecursionError: a deeply nested frame (``[[[[...``) exhausts
+        # the JSON decoder's stack -- hostile bytes, like any other.
         raise FrameError(f"malformed frame: {err}") from err
     if not isinstance(message, dict) or "type" not in message:
         raise FrameError(f"frame is not a typed object: {message!r}")

@@ -35,17 +35,18 @@ boundaries.  ``--slots N`` forks N serving processes (threads where
 ``fork`` is unavailable), each with its own connection, cache and
 runner cache.
 
-``--concurrency M`` multiplexes M sessions on *one* connection: the
-slot runs an event loop with M lanes, each holding one ``next`` ->
-frame exchange in flight, and drives tests through
-``run_single_test_async`` so wire waits interleave instead of
-serialising.  The slot announces ``concurrency`` in its hello, so the
-coordinator's ``capacity()`` (and ``--jobs auto``) sees slots x
-concurrency.  ``--latency-ms D`` wraps every session in a
-:class:`~repro.executors.base.LatencyExecutor` -- deterministic
-wall-clock round-trip injection that never touches virtual time, so
-verdicts stay byte-identical while the worker behaves like one talking
-to a real remote browser.
+Every slot serves one pull loop: an event loop with ``--concurrency
+M`` lanes (default 1) on *one* connection, each lane holding one
+``next`` -> frame exchange in flight and running its task through
+``run_single_test_async``.  The slot announces ``concurrency`` in its
+hello, so the coordinator's ``capacity()`` (and ``--jobs auto``) sees
+slots x concurrency.  ``--latency-ms D`` gives every session a
+:class:`~repro.executors.base.LatencyExecutor` view, seeded by the test
+index -- deterministic wall-clock round-trip injection that never
+touches virtual time, so verdicts stay byte-identical while the worker
+behaves like one talking to a real remote browser, and lanes overlap
+their waits.  Without injected latency the simulated sessions never
+yield, and lanes take turns.
 
 This module is imported lazily (the CLI's ``worker`` command, tests):
 it pulls in the spec front end and the session layer, which the
@@ -64,7 +65,7 @@ import socket
 import sys
 import threading
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from .wire import PROTOCOL_VERSION, FrameError, pack, recv_frame, send_frame
 
@@ -205,9 +206,8 @@ def _serve_slot(
     concurrency: int = 1,
     latency_ms: float = 0.0,
 ) -> int:
-    """One slot: one connection, one pull loop (or, with ``concurrency
-    > 1`` / injected latency, one event loop multiplexing that many
-    lanes).  Returns an exit code."""
+    """One slot: one connection, one pull loop of ``concurrency``
+    lanes.  Returns an exit code."""
     from ..lease import ExecutorCache
 
     # The dial timeout stays armed through the handshake: a coordinator
@@ -259,33 +259,11 @@ def _serve_slot(
     threading.Thread(target=ping_loop, daemon=True,
                      name=f"worker-{worker_id}-ping").start()
 
-    runners = _RunnerCache()
-    multiplexed = concurrency > 1 or latency_ms > 0
-    cache = ExecutorCache(
-        enabled=True, depth=concurrency if multiplexed else 1
-    )
+    cache = ExecutorCache(enabled=True, depth=concurrency)
     try:
-        if multiplexed:
-            return asyncio.run(_serve_multiplexed(
-                sock, send, runners, cache, log, concurrency, latency_ms
-            ))
-        while True:
-            send({"type": "next"})
-            message = recv_frame(sock)
-            mtype = message.get("type")
-            if mtype == "wait":
-                time.sleep(float(message.get("for_s", 0.2)))
-                continue
-            if mtype == "shutdown":
-                log("coordinator said shutdown")
-                return 0
-            if mtype != "task":
-                log(f"ignoring unexpected frame {mtype!r}")
-                continue
-            _run_one(message, runners, cache, send, log)
-    except (OSError, FrameError) as err:
-        log(f"connection lost: {err!r}")
-        return 1
+        return asyncio.run(_pull_loop(
+            sock, send, _RunnerCache(), cache, log, concurrency, latency_ms
+        ))
     finally:
         stop_pinging.set()
         cache.close()
@@ -295,50 +273,7 @@ def _serve_slot(
             pass
 
 
-def _run_one(message: dict, runners: _RunnerCache, cache, send, log) -> None:
-    """Execute one task frame and stream its outcome back."""
-    from ..engines import _test_seed
-
-    body = message.get("body") or {}
-    started = time.perf_counter()
-    warm0 = cache.warm_hits.value
-    cold0 = cache.cold_starts.value
-    try:
-        runner = runners.runner_for(body["runner"])
-        index = int(body["index"])
-        rng = random.Random(_test_seed(runner.config.seed, index))
-        if body.get("reuse", True):
-            result = runner.run_single_test(
-                rng, lease=cache.lease(runner.executor_factory)
-            )
-        else:
-            result = runner.run_single_test(rng)
-    except Exception as err:
-        try:
-            payload = pack(err)
-        except (pickle.PicklingError, TypeError, AttributeError):
-            payload = pack(RuntimeError(repr(err)))
-        send({
-            "type": "failure",
-            "id": message["id"],
-            "epoch": message.get("epoch"),
-            "elapsed": time.perf_counter() - started,
-            "error": repr(err),
-            "payload": payload,
-        })
-        return
-    send({
-        "type": "result",
-        "id": message["id"],
-        "epoch": message.get("epoch"),
-        "elapsed": time.perf_counter() - started,
-        "warm_hits": cache.warm_hits.value - warm0,
-        "cold_starts": cache.cold_starts.value - cold0,
-        "payload": pack(result),
-    })
-
-
-async def _serve_multiplexed(
+async def _pull_loop(
     sock,
     send,
     runners: _RunnerCache,
@@ -347,8 +282,8 @@ async def _serve_multiplexed(
     concurrency: int,
     latency_ms: float,
 ) -> int:
-    """The multiplexed pull loop: ``concurrency`` lanes on one event
-    loop, one connection.
+    """The slot's pull loop: ``concurrency`` lanes on one event loop,
+    one connection.
 
     Each lane keeps exactly one ``next`` outstanding and consumes
     exactly one reply frame, so the wire stays 1:1 even though replies
@@ -358,16 +293,13 @@ async def _serve_multiplexed(
     ``_lost`` frame.  ``shutdown``/``_lost`` frames are re-put before a
     lane returns, so the one frame wakes every sibling no matter how
     their sends and sleeps interleave.
-    """
-    import concurrent.futures
 
+    Lanes overlap only where sessions yield: with ``latency_ms > 0``
+    each session's view is a seeded
+    :class:`~repro.executors.base.LatencyExecutor`; without it sessions
+    run inline and the lanes take turns between frames.
+    """
     loop = asyncio.get_running_loop()
-    # Lanes running sync-executor protocol calls (and sends) through
-    # run_in_executor must never starve for threads behind each other.
-    loop.set_default_executor(concurrent.futures.ThreadPoolExecutor(
-        max_workers=2 * concurrency + 4,
-        thread_name_prefix="worker-lane",
-    ))
     inbox: asyncio.Queue = asyncio.Queue()
 
     def reader() -> None:
@@ -386,16 +318,13 @@ async def _serve_multiplexed(
     threading.Thread(target=reader, daemon=True,
                      name="worker-reader").start()
 
-    async def asend(message: dict) -> None:
-        await loop.run_in_executor(None, send, message)
-
     saw_shutdown = False
 
-    async def lane(lane_id: int) -> int:
+    async def lane() -> int:
         nonlocal saw_shutdown
         try:
             while True:
-                await asend({"type": "next"})
+                send({"type": "next"})
                 frame = await inbox.get()
                 ftype = frame.get("type")
                 if ftype == "wait":
@@ -416,9 +345,7 @@ async def _serve_multiplexed(
                 if ftype != "task":
                     log(f"ignoring unexpected frame {ftype!r}")
                     continue
-                await _run_one_async(
-                    frame, runners, cache, asend, latency_ms
-                )
+                await _run_one(frame, runners, cache, send, latency_ms)
         except (OSError, FrameError) as err:
             # A send failing after shutdown is the normal close race.
             if saw_shutdown:
@@ -426,16 +353,20 @@ async def _serve_multiplexed(
             log(f"connection lost: {err!r}")
             return 1
 
-    codes = await asyncio.gather(*(lane(i) for i in range(concurrency)))
+    codes = await asyncio.gather(*(lane() for _ in range(concurrency)))
     return max(codes)
 
 
-async def _run_one_async(
-    message: dict, runners: _RunnerCache, cache, asend, latency_ms: float
+async def _run_one(
+    message: dict, runners: _RunnerCache, cache, send, latency_ms: float
 ) -> None:
-    """:func:`_run_one` on the event loop: same frames, same seeds, but
-    the session runs under ``run_single_test_async`` so this lane's
-    wire waits interleave with its siblings'."""
+    """Execute one task frame and stream its outcome back.
+
+    Every session leases a synchronous executor from the slot's cache;
+    with ``latency_ms > 0`` its async view is a
+    :class:`~repro.executors.base.LatencyExecutor` seeded by the test
+    index, built per session, so a warm session draws exactly the
+    delays a cold one would."""
     from ...executors import LatencyExecutor
     from ..engines import _test_seed
 
@@ -446,32 +377,30 @@ async def _run_one_async(
         runner = runners.runner_for(body["runner"])
         index = int(body["index"])
         rng = random.Random(_test_seed(runner.config.seed, index))
-        base = runner.executor_factory
+        wrap = None
         if latency_ms > 0:
-            def factory(base=base, seed=index):
+            def wrap(executor):
                 return LatencyExecutor(
-                    base(), latency_ms=latency_ms, seed=seed
+                    executor, latency_ms=latency_ms, seed=index
                 )
-        else:
-            factory = base
+        lease = None
         if body.get("reuse", True):
+            lease = cache.lease(runner.executor_factory)
+        result = await runner.run_single_test_async(
+            rng, lease=lease, wrap=wrap
+        )
+        if lease is not None:
             # The lease's own warm flag, not counter deltas: with
             # lanes interleaving, a shared counter's delta would count
             # the siblings' checkouts too.
-            lease = cache.async_lease(factory, key=base)
-            result = await runner.run_single_test_async(rng, lease=lease)
             warm_delta = 1 if lease.warm else 0
             cold_delta = 1 - warm_delta
-        else:
-            result = await runner.run_single_test_async(
-                rng, executor_factory=factory
-            )
     except Exception as err:
         try:
             payload = pack(err)
         except (pickle.PicklingError, TypeError, AttributeError):
             payload = pack(RuntimeError(repr(err)))
-        await asend({
+        send({
             "type": "failure",
             "id": message["id"],
             "epoch": message.get("epoch"),
@@ -480,7 +409,7 @@ async def _run_one_async(
             "payload": payload,
         })
         return
-    await asend({
+    send({
         "type": "result",
         "id": message["id"],
         "epoch": message.get("epoch"),

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from ..executors.base import ActionFailed, AsyncExecutor, ensure_async_executor
+from ..executors.base import ActionFailed, SyncExecutorAdapter
 from ..protocol.messages import Acted, Act, Start, Timeout
 from ..protocol.session import TraceEntry
 from ..quickltl import (
@@ -99,68 +99,15 @@ class TraceAccumulator:
                 self.verdict = self.checker.observe(state)
 
 
-class _InlineAsyncExecutor(AsyncExecutor):
-    """A synchronous executor presented through the async protocol
-    without ever yielding: every coroutine method completes inline, so
-    :func:`_drive_inline` runs the async driver to completion with a
-    single ``send``.  This is how the sync entry point shares the async
-    driver's code path while paying no event-loop tax -- and why the
-    two are byte-identical by construction rather than by testing.
-    """
-
-    __slots__ = ("inner",)
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-
-    async def start(self, start: Start) -> None:
-        self.inner.start(start)
-
-    async def drain(self) -> List[object]:
-        return self.inner.drain()
-
-    async def act(self, act: Act) -> bool:
-        return self.inner.act(act)
-
-    async def pass_time(self, delta_ms: float) -> None:
-        self.inner.pass_time(delta_ms)
-
-    async def await_events(self, timeout_ms: float) -> None:
-        self.inner.await_events(timeout_ms)
-
-    async def stop(self) -> None:
-        self.inner.stop()
-
-    def stop_nowait(self) -> None:
-        self.inner.stop()
-
-    async def reset(self, reset) -> bool:
-        fn = getattr(self.inner, "reset", None)
-        if fn is None:
-            return False
-        return fn(reset)
-
-    @property
-    def version(self) -> int:
-        return self.inner.version
-
-    @property
-    def now_ms(self) -> float:
-        return self.inner.now_ms
-
-    @property
-    def recorder(self):
-        return getattr(self.inner, "recorder", None)
-
-
 def _drive_inline(coro):
     """Run a coroutine that never awaits anything to completion.
 
     The async test driver only suspends inside executor protocol calls;
-    over an :class:`_InlineAsyncExecutor` none of those yield, so the
-    whole drive resolves on the first ``send``.  A yield here would mean
-    a synchronous entry point was handed an executor that actually
-    blocks -- a programming error worth failing loudly on.
+    over a :class:`~repro.executors.base.SyncExecutorAdapter` none of
+    those yield, so the whole drive resolves on the first ``send``.  A
+    yield here would mean a synchronous entry point was handed a
+    session view that actually suspends -- a programming error worth
+    failing loudly on.
     """
     try:
         coro.send(None)
@@ -169,7 +116,7 @@ def _drive_inline(coro):
     coro.close()
     raise RuntimeError(
         "synchronous test drive suspended; use run_single_test_async for "
-        "executors that await"
+        "session views that await"
     )
 
 
@@ -270,72 +217,52 @@ class Runner:
         ``lease`` (an :class:`~repro.api.lease.ExecutorLease`) checks a
         possibly-warm executor out of its cache and parks it again after
         the test; without one, a fresh executor is constructed and
-        stopped, exactly as before.  Verdicts are identical either way.
+        stopped.  Verdicts are identical either way.
 
-        This is the synchronous face of :meth:`run_single_test_async`:
-        the same driver coroutine runs over an inline (never-yielding)
-        adapter, so there is exactly one session loop in the codebase.
+        This is :meth:`run_single_test_async` driven to completion
+        inline: the session view is a never-yielding
+        :class:`~repro.executors.base.SyncExecutorAdapter`, so there is
+        exactly one session path in the codebase.
         """
-        if lease is not None:
-            executor = lease.checkout(self._start_message())
-        else:
-            executor = self.executor_factory()
-            if isinstance(executor, AsyncExecutor):
-                raise TypeError(
-                    "executor_factory produced an AsyncExecutor; drive it "
-                    "with run_single_test_async instead"
-                )
-            executor.start(self._start_message())
+        return _drive_inline(self.run_single_test_async(rng, lease))
+
+    async def run_single_test_async(
+        self, rng: random.Random, lease=None, wrap=None
+    ) -> TestResult:
+        """Run one generated test from an event loop.
+
+        ``lease`` is an :class:`~repro.api.lease.ExecutorLease`; without
+        one the test leases from a disabled cache (cold construct +
+        ``Start``, ``stop`` afterwards).  The lease deals in synchronous
+        executors only; the session loop drives an async *view* of the
+        checked-out executor: ``wrap(executor)`` when given (e.g. a
+        seeded :class:`~repro.executors.base.LatencyExecutor`, so
+        sessions sharing a loop interleave), otherwise the inline
+        :class:`~repro.executors.base.SyncExecutorAdapter`.
+        """
+        if lease is None:
+            # Imported here: repro.api imports this module.
+            from ..api.lease import ExecutorCache
+
+            lease = ExecutorCache(enabled=False).lease(self.executor_factory)
+        executor = lease.checkout(self._start_message())
+        session = SyncExecutorAdapter(executor) if wrap is None else wrap(executor)
         try:
-            result = _drive_inline(
-                self._drive_test_async(_InlineAsyncExecutor(executor), rng)
-            )
+            result = await self._drive_test_async(session, rng)
         except BaseException:
             # The session is in an unknown state (e.g. ActionFailed from
             # a vanished target): never park it warm, never leak it.
             executor.stop()
             raise
-        if lease is not None:
-            lease.checkin(executor)
-        else:
-            executor.stop()
-        return result
-
-    async def run_single_test_async(
-        self, rng: random.Random, lease=None, executor_factory=None
-    ) -> TestResult:
-        """Run one generated test from an event loop.
-
-        The asynchronous face of :meth:`run_single_test`: same driver,
-        awaited protocol calls, so hundreds of I/O-bound sessions can
-        share one loop.  ``lease`` is an
-        :class:`~repro.api.lease.AsyncExecutorLease`; without one,
-        ``executor_factory`` (default: the runner's own) is called and
-        its product adapted via
-        :func:`~repro.executors.base.ensure_async_executor`.
-        """
-        if lease is not None:
-            executor = await lease.checkout(self._start_message())
-        else:
-            factory = executor_factory or self.executor_factory
-            executor = ensure_async_executor(factory())
-            await executor.start(self._start_message())
-        try:
-            result = await self._drive_test_async(executor, rng)
-        except BaseException:
-            await executor.stop()
-            raise
-        if lease is not None:
-            await lease.checkin(executor)
-        else:
-            await executor.stop()
+        lease.checkin(executor)
         return result
 
     async def _drive_test_async(self, executor, rng: random.Random) -> TestResult:
         """THE session loop (paper, Sections 2.3 and 3.4), written once
-        against :class:`AsyncExecutor`.  Synchronous callers reach it
-        through :class:`_InlineAsyncExecutor`, where no call yields and
-        the coroutine resolves in a single ``send``.
+        against :class:`~repro.executors.base.AsyncExecutor`.
+        Synchronous callers reach it through :class:`SyncExecutorAdapter`,
+        where no call yields and the coroutine resolves in a single
+        ``send``.
 
         Interning is counted on a task-local counter (not the global
         table deltas) so concurrent sessions multiplexed on one loop

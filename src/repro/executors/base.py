@@ -13,15 +13,23 @@ calls to model decision/settle latency) and :meth:`Executor.await_events`
 (event waits and ``timeout`` handling).  Asynchronous application
 activity during those advances produces ``Event`` messages, which is how
 the staleness scenario of Figure 10 arises.
+
+Executors are synchronous: factories build an :class:`Executor`, and
+warm reuse (:mod:`repro.api.lease`) parks and resets exactly what they
+build.  The runner's one session loop is written against
+:class:`AsyncExecutor`, the awaitable mirror; at checkout each session
+gets an async *view* of its executor -- :class:`SyncExecutorAdapter`,
+which calls through inline and never yields, or a caller's wrapper such
+as :class:`LatencyExecutor`, which yields to the event loop once per
+wire call so sessions sharing a loop interleave.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 import random
 from abc import ABC, abstractmethod
-from typing import List, Optional
+from typing import List
 
 from ..protocol.messages import Act, Reset, Start
 
@@ -108,12 +116,12 @@ class Executor(ABC):
 
 
 class AsyncExecutor(ABC):
-    """One test session driven from an event loop.
+    """One test session as the runner's session loop sees it.
 
     The awaitable mirror of :class:`Executor`: same messages, same
-    contracts, but every protocol call is a coroutine, so a single
-    worker can keep hundreds of I/O-bound sessions in flight -- the
-    shape real WebDriver (or network-service) backends need, where each
+    contracts, but every protocol call is a coroutine, so one event
+    loop can keep many latency-bound sessions in flight -- the shape
+    real WebDriver (or network-service) backends need, where each
     round-trip is wire latency rather than CPU.  Virtual time remains
     the *session's* clock: wall-clock waits introduced by a backend
     (see :class:`LatencyExecutor`) never advance ``now_ms``, so async
@@ -158,13 +166,6 @@ class AsyncExecutor(ABC):
     async def stop(self) -> None:
         """Tear the session down (default: nothing to do)."""
 
-    def stop_nowait(self) -> None:
-        """Best-effort synchronous teardown, for contexts that cannot
-        await (an :class:`~repro.api.lease.ExecutorCache` retiring a
-        mismatched-loop entry).  Wrappers around synchronous executors
-        stop the inner executor directly; purely-async backends should
-        override with whatever non-blocking release they can manage."""
-
     async def reset(self, reset: Reset) -> bool:
         """Begin a fresh session on this warm executor (see
         :meth:`Executor.reset`); the default declines."""
@@ -172,16 +173,17 @@ class AsyncExecutor(ABC):
 
 
 class SyncExecutorAdapter(AsyncExecutor):
-    """Runs a synchronous executor's protocol calls on the event loop's
-    default thread pool.
+    """Presents a synchronous executor through the async protocol,
+    inline.
 
-    This is how the simulated Dom/CCS backends (and any other
-    :class:`Executor`) join an async session engine: each protocol call
-    becomes ``loop.run_in_executor``, so while one session blocks in a
-    (real or injected) wait, the loop keeps every other session moving.
-    Per-call semantics are untouched -- one call in flight per session
-    at a time, exactly the order the driver issues them -- so verdicts,
-    traces and event streams are byte-identical to the sync runner.
+    Every coroutine method calls the wrapped :class:`Executor` directly
+    and completes without yielding, so a session driven through this
+    adapter never suspends: the synchronous entry point
+    (:meth:`Runner.run_single_test
+    <repro.checker.runner.Runner.run_single_test>`) resolves the whole
+    async driver in a single ``send``.  The simulated Dom/CCS backends
+    are CPU-bound, so there is nothing to overlap; sessions that should
+    interleave on a loop use a :class:`LatencyExecutor` view instead.
     """
 
     __slots__ = ("inner",)
@@ -189,38 +191,29 @@ class SyncExecutorAdapter(AsyncExecutor):
     def __init__(self, inner: Executor) -> None:
         self.inner = inner
 
-    async def _call(self, fn, *args):
-        loop = asyncio.get_running_loop()
-        if args:
-            fn = functools.partial(fn, *args)
-        return await loop.run_in_executor(None, fn)
-
     async def start(self, start: Start) -> None:
-        await self._call(self.inner.start, start)
+        self.inner.start(start)
 
     async def drain(self) -> List[object]:
-        return await self._call(self.inner.drain)
+        return self.inner.drain()
 
     async def act(self, act: Act) -> bool:
-        return await self._call(self.inner.act, act)
+        return self.inner.act(act)
 
     async def pass_time(self, delta_ms: float) -> None:
-        await self._call(self.inner.pass_time, delta_ms)
+        self.inner.pass_time(delta_ms)
 
     async def await_events(self, timeout_ms: float) -> None:
-        await self._call(self.inner.await_events, timeout_ms)
+        self.inner.await_events(timeout_ms)
 
     async def stop(self) -> None:
-        await self._call(self.inner.stop)
-
-    def stop_nowait(self) -> None:
         self.inner.stop()
 
     async def reset(self, reset: Reset) -> bool:
         fn = getattr(self.inner, "reset", None)
         if fn is None:
             return False
-        return await self._call(fn, reset)
+        return fn(reset)
 
     @property
     def version(self) -> int:
@@ -237,44 +230,48 @@ class SyncExecutorAdapter(AsyncExecutor):
         return getattr(self.inner, "recorder", None)
 
 
-class LatencyExecutor(AsyncExecutor):
-    """Deterministic wall-clock latency injection around an executor.
+class LatencyExecutor(SyncExecutorAdapter):
+    """Deterministic wall-clock latency injection around a synchronous
+    executor.
 
     Models WebDriver round-trips for the simulated backends: every
     *wire* call (``start``/``drain``/``act``/``await_events``/
     ``reset``) first sleeps a pseudo-random real-time delay
     drawn from a private seeded RNG -- uniform in ``latency_ms * [1 -
-    jitter, 1 + jitter]``.  The delay is **wall-clock only**: virtual
-    time (``now_ms``), the trace, and the test's own RNG are never
-    touched, so latency-injected verdicts are identical to plain runs
-    by construction -- which is what lets benchmarks hard-assert
-    verdict identity before timing the concurrency curve.
+    jitter, 1 + jitter]`` -- then calls the inner executor inline.  The
+    delay is **wall-clock only**: virtual time (``now_ms``), the trace,
+    and the test's own RNG are never touched, so latency-injected
+    verdicts are identical to plain runs by construction -- which is
+    what lets benchmarks hard-assert verdict identity before timing the
+    concurrency curve.
 
-    ``inner`` may be a synchronous :class:`Executor` (called inline
-    after the sleep -- simulated backends are CPU-cheap) or another
-    :class:`AsyncExecutor` (awaited).  ``latency_ms=0`` disables the
-    sleeps entirely, leaving a pass-through used by differential legs
-    that only want the async code path exercised.
+    ``latency_ms=0`` draws no delays but still yields to the event loop
+    once per wire call (``asyncio.sleep(0)``), so sessions sharing a
+    loop interleave at protocol-call granularity -- what differential
+    legs that only want the async schedule exercised rely on.
     """
 
-    __slots__ = ("inner", "latency_ms", "jitter", "_rng", "_async")
+    __slots__ = ("latency_ms", "jitter", "_rng")
 
     def __init__(
         self,
-        inner,
+        inner: Executor,
         latency_ms: float = 5.0,
         jitter: float = 0.5,
         seed: object = 0,
     ) -> None:
+        if isinstance(inner, AsyncExecutor):
+            raise TypeError(
+                "LatencyExecutor wraps synchronous executors only"
+            )
         if latency_ms < 0:
             raise ValueError(f"latency_ms must be >= 0, got {latency_ms}")
         if not 0.0 <= jitter <= 1.0:
             raise ValueError(f"jitter must be within [0, 1], got {jitter}")
-        self.inner = inner
+        super().__init__(inner)
         self.latency_ms = latency_ms
         self.jitter = jitter
         self._rng = random.Random(f"latency/{seed}")
-        self._async = isinstance(inner, AsyncExecutor)
 
     def next_delay_ms(self) -> float:
         """The next injected delay (milliseconds); 0 when disabled.
@@ -287,62 +284,31 @@ class LatencyExecutor(AsyncExecutor):
             self.latency_ms - spread, self.latency_ms + spread
         )
 
-    async def _round_trip(self, name: str, *args):
-        delay_ms = self.next_delay_ms()
-        if delay_ms > 0:
-            await asyncio.sleep(delay_ms / 1000.0)
-        fn = getattr(self.inner, name)
-        result = fn(*args)
-        if self._async:
-            result = await result
-        return result
+    async def _round_trip(self) -> None:
+        await asyncio.sleep(self.next_delay_ms() / 1000.0)
 
     async def start(self, start: Start) -> None:
-        await self._round_trip("start", start)
+        await self._round_trip()
+        self.inner.start(start)
 
     async def drain(self) -> List[object]:
-        return await self._round_trip("drain")
+        await self._round_trip()
+        return self.inner.drain()
 
     async def act(self, act: Act) -> bool:
-        return await self._round_trip("act", act)
-
-    async def pass_time(self, delta_ms: float) -> None:
-        # Virtual-time bookkeeping, not a wire call: no injected delay.
-        result = self.inner.pass_time(delta_ms)
-        if self._async:
-            await result
+        await self._round_trip()
+        return self.inner.act(act)
 
     async def await_events(self, timeout_ms: float) -> None:
-        await self._round_trip("await_events", timeout_ms)
-
-    async def stop(self) -> None:
-        result = self.inner.stop()
-        if self._async:
-            await result
-
-    def stop_nowait(self) -> None:
-        if self._async:
-            self.inner.stop_nowait()
-        else:
-            self.inner.stop()
+        await self._round_trip()
+        self.inner.await_events(timeout_ms)
 
     async def reset(self, reset: Reset) -> bool:
         fn = getattr(self.inner, "reset", None)
         if fn is None:
             return False
-        return await self._round_trip("reset", reset)
-
-    @property
-    def version(self) -> int:
-        return self.inner.version
-
-    @property
-    def now_ms(self) -> float:
-        return self.inner.now_ms
-
-    @property
-    def recorder(self):
-        return getattr(self.inner, "recorder", None)
+        await self._round_trip()
+        return fn(reset)
 
 
 def ensure_async_executor(executor) -> AsyncExecutor:

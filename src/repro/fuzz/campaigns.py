@@ -12,9 +12,9 @@ legs:
   (the ``Reset`` protocol path),
 * ``async``   -- every target through the
   :class:`~repro.api.engines.AsyncEngine`, each session driven by the
-  awaitable protocol through a
-  :class:`~repro.executors.base.SyncExecutorAdapter` under a
-  pass-through :class:`~repro.executors.base.LatencyExecutor`.
+  awaitable protocol through a zero-latency
+  :class:`~repro.executors.base.LatencyExecutor` view, which yields to
+  the loop once per wire call so four sessions interleave.
 
 All four must agree -- verdicts, per-test results, counterexamples,
 and (for the batch-shaped serial/pooled/warm legs) reporter event
@@ -188,35 +188,41 @@ class _AsyncOutcome:
         self.result = result
 
 
+def async_leg_engine(metrics=None):
+    """The async leg's engine: four sessions in flight on one loop,
+    each seen through a zero-latency
+    :class:`~repro.executors.base.LatencyExecutor`.  No delay is drawn,
+    but every wire call yields to the loop, so sessions genuinely
+    interleave at protocol-call granularity (``metrics``, a
+    :class:`~repro.api.pool.PoolMetrics`, records how many were in
+    flight at once)."""
+    from ..api.engines import AsyncEngine
+    from ..executors import LatencyExecutor
+
+    return AsyncEngine(
+        concurrency=4,
+        wrap=lambda executor: LatencyExecutor(executor, latency_ms=0),
+        metrics=metrics,
+    )
+
+
 def _async_leg(
     machine: MachineSpec,
     named_faults,
     check: CheckSpec,
     config: RunnerConfig,
 ) -> Tuple[List[_AsyncOutcome], None]:
-    """The async leg: every target's campaign on the
-    :class:`~repro.api.engines.AsyncEngine`.
-
-    Sessions go through the full async stack -- ``SyncExecutorAdapter``
-    (protocol calls hop through the loop's thread pool) under a
-    pass-through ``LatencyExecutor`` -- with several sessions genuinely
-    interleaving on the loop, so any verdict drift the async driver
-    could introduce shows up as a campaign-result difference against
-    serial.  The reporter stream is engine-shaped rather than
-    batch-shaped, so only results are compared (the stream oracle
-    already runs on the pooled/warm legs).
+    """The async leg: every target's campaign on
+    :func:`async_leg_engine`, so any verdict drift the async driver or
+    interleaved sessions could introduce shows up as a campaign-result
+    difference against serial.  The reporter stream is engine-shaped
+    rather than batch-shaped, so only results are compared (the stream
+    oracle already runs on the pooled/warm legs).
     """
-    from ..api.engines import AsyncEngine
     from ..api.session import _coerce_executor_factory
     from ..checker.runner import Runner
-    from ..executors import LatencyExecutor, SyncExecutorAdapter
 
-    engine = AsyncEngine(
-        concurrency=4,
-        wrap=lambda executor: LatencyExecutor(
-            SyncExecutorAdapter(executor), latency_ms=0
-        ),
-    )
+    engine = async_leg_engine()
     outcomes = []
     for name, fault in named_faults:
         factory = _coerce_executor_factory(machine_app(machine, fault))

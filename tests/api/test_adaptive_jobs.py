@@ -127,32 +127,10 @@ class TestSuggestJobsCapacity:
 
 
 class TestMultiplexedCapacity:
-    """``capacity()`` counts *sessions*, not processes: a transport
-    whose workers multiplex ``concurrency`` sessions per slot reports
-    slots x concurrency, and the ``--jobs auto`` clamp admits that full
-    width -- an I/O-bound fabric is not bounded by coordinator cores."""
-
-    def test_thread_transport_multiplies_by_concurrency(self):
-        import os
-
-        from repro.api.transport import ThreadTransport
-
-        cpu = os.cpu_count() or 1
-        assert ThreadTransport().capacity() == cpu
-        assert ThreadTransport(concurrency=4).capacity() == cpu * 4
-
-    def test_fork_transport_multiplies_by_concurrency(self):
-        import multiprocessing
-        import os
-
-        from repro.api.transport import ForkTransport
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            return
-        cpu = os.cpu_count() or 1
-        assert ForkTransport(ctx, concurrency=3).capacity() == cpu * 3
+    """``capacity()`` counts *sessions*, not processes: remote workers
+    that multiplex ``concurrency`` sessions per slot report slots x
+    concurrency, and the ``--jobs auto`` clamp admits that full width --
+    an I/O-bound fabric is not bounded by coordinator cores."""
 
     def test_auto_clamp_admits_the_multiplexed_width(self):
         # 2 slots x concurrency 8 = 16 in-flight sessions on a 1-CPU

@@ -175,19 +175,6 @@ class TestCountersAcrossLeases:
         assert cache.warm_hits.value == 4
         assert len(factory.made) == 1
 
-    def test_lease_key_override(self):
-        """Explicit keys group factories built per call."""
-        cache = ExecutorCache()
-        executors = []
-        for _ in range(3):
-            factory = make_factory()  # a fresh factory object each time
-            lease = cache.lease(factory, key="shared-target")
-            executors.append(lease.checkout(START))
-            lease.checkin(executors[-1])
-        assert executors[1] is executors[0]
-        assert executors[2] is executors[0]
-        assert cache.warm_hits.value == 2
-
     def test_lease_is_exported_type(self):
         cache = ExecutorCache()
         assert isinstance(cache.lease(make_factory()), ExecutorLease)

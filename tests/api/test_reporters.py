@@ -329,123 +329,3 @@ class TestProgressReporter:
         assert stream.getvalue().splitlines()[-1] == (
             "1 campaign(s): 1 passed, 0 failed"
         )
-
-
-class TestReporterVersioning:
-    """The versioned Reporter ABC: ``api_version`` + explicit adapter
-    replace the old per-call ``on_session_end`` signature sniffing."""
-
-    def test_builtins_declare_version_2(self):
-        from repro.api.reporters import REPORTER_API_VERSION
-
-        for cls in (ConsoleReporter, JsonlReporter, JUnitXmlReporter,
-                    ProgressReporter):
-            assert cls.api_version == REPORTER_API_VERSION
-
-    def test_base_class_stays_version_1(self):
-        # Deliberate: an old subclass overriding on_session_end(outcomes)
-        # must not inherit a version-2 promise its override doesn't keep.
-        assert Reporter.api_version == 1
-
-    def test_version_2_reporters_are_used_directly(self):
-        from repro.api import adapt_reporter
-
-        reporter = JsonlReporter(stream=io.StringIO())
-        assert adapt_reporter(reporter) is reporter
-
-    def test_version_1_reporters_are_wrapped(self):
-        from repro.api import LegacyReporterAdapter, adapt_reporter
-
-        class Old(Reporter):
-            def on_session_end(self, outcomes):  # pre-metrics signature
-                self.seen = outcomes
-
-        old = Old()
-        adapted = adapt_reporter(old)
-        assert isinstance(adapted, LegacyReporterAdapter)
-        assert adapted.wrapped is old
-
-    def test_adapter_drops_metrics_for_old_signatures(self):
-        from repro.api import PoolMetrics
-        from repro.api.reporters import emit_session_end
-
-        calls = []
-
-        class Old(Reporter):
-            def on_session_end(self, outcomes):
-                calls.append(outcomes)
-
-        emit_session_end([Old()], [("x", object())],
-                         metrics=PoolMetrics(jobs=2))
-        assert len(calls) == 1 and calls[0][0][0] == "x"
-
-    def test_adapter_passes_metrics_when_accepted(self):
-        from repro.api import PoolMetrics
-        from repro.api.reporters import emit_session_end
-
-        calls = []
-
-        class Declared(Reporter):
-            api_version = 2
-
-            def on_session_end(self, outcomes, metrics=None):
-                calls.append(metrics)
-
-        class Sniffed(Reporter):  # version 1, but takes the keyword
-            def on_session_end(self, outcomes, metrics=None):
-                calls.append(metrics)
-
-        metrics = PoolMetrics(jobs=3)
-        emit_session_end([Declared(), Sniffed()], [], metrics=metrics)
-        assert calls == [metrics, metrics]
-
-    def test_adapter_forwards_every_other_hook(self):
-        from repro.api import adapt_reporter
-
-        events = []
-
-        class Old(Reporter):
-            def on_session_start(self, campaigns):
-                events.append(("session_start", campaigns))
-
-            def on_campaign_start(self, property_name, tests, target=None):
-                events.append(("campaign_start", property_name, tests,
-                               target))
-
-            def on_test_start(self, property_name, index, seed):
-                events.append(("test_start", index))
-
-            def on_session_end(self, outcomes):
-                events.append(("session_end", len(outcomes)))
-
-        adapted = adapt_reporter(Old())
-        adapted.on_session_start(2)
-        adapted.on_campaign_start("p", 4, target="t")
-        adapted.on_test_start("p", 0, "seed/0")
-        adapted.on_session_end([], metrics=None)
-        assert events == [("session_start", 2),
-                          ("campaign_start", "p", 4, "t"),
-                          ("test_start", 0),
-                          ("session_end", 0)]
-
-    def test_legacy_reporter_rides_a_real_batch(self):
-        """End to end: a pre-metrics reporter attached to check_many
-        still receives its session_end, with no TypeError."""
-        from repro.api import CheckSession, SessionConfig
-        from repro.specs import load_eggtimer_spec
-
-        seen = []
-
-        class Old(Reporter):
-            def on_session_end(self, outcomes):
-                seen.append([target for target, _ in outcomes])
-
-        session = CheckSession(egg_timer_app(), reporters=[Old()])
-        session.check_many(
-            [("egg", egg_timer_app())],
-            spec=load_eggtimer_spec().check_named("safety"),
-            config=RunnerConfig(tests=2, scheduled_actions=10,
-                                demand_allowance=5, shrink=False),
-            session=SessionConfig(jobs=1),
-        )
-        assert seen == [["egg"]]

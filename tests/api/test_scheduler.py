@@ -103,7 +103,7 @@ class RecordingReporter(Reporter):
         self.events.append(("campaign_end", result.property_name,
                             result.tests_run))
 
-    def on_session_end(self, outcomes):
+    def on_session_end(self, outcomes, metrics=None):
         self.events.append(
             ("session_end", [(target, r.passed) for target, r in outcomes])
         )

@@ -20,6 +20,9 @@ hand-rolled fake worker speaking the wire protocol:
   index)`` ids;
 * ``KeyboardInterrupt`` mid-batch tears the fabric down cleanly
   (workers exit 0, nothing hangs);
+* hostile frames -- a malformed hello, a 100k-deep frame, a result
+  naming no valid task -- cost the sender its connection while the
+  batch completes;
 * one live transport serves many batches (the epoch logic).
 """
 
@@ -213,27 +216,6 @@ class TestTransportIdentity:
         assert all(count > 0 for count in host_tasks.values())
         assert sum(host_tasks.values()) == batch.metrics.tasks_completed
 
-    @pytest.mark.parametrize("kind", ["fork", "thread"])
-    def test_multiplexed_local_transports_match_serial(self, kind, serial):
-        """concurrency > 1 on the local transports: each worker slot
-        multiplexes sessions on an event loop, verdicts unchanged."""
-        import multiprocessing
-
-        from repro.api.transport import ForkTransport, ThreadTransport
-
-        serial_batch, serial_events = serial
-        if kind == "fork":
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                pytest.skip("fork start method unavailable")
-            transport = ForkTransport(ctx, concurrency=4)
-        else:
-            transport = ThreadTransport(concurrency=4)
-        batch, events = run_batch(SessionConfig(jobs=2, transport=transport))
-        assert_batches_identical(serial_batch, batch)
-        assert events == serial_events
-
     def test_multiplexed_tcp_workers_match_serial(self, serial, tcp_fabric):
         """The headline acceptance test: 2 remote workers x concurrency
         4 with injected wire latency must reproduce the serial batch --
@@ -346,6 +328,107 @@ class TestTcpFailureSemantics:
         _await(lambda: transport._workers, timeout_s=30.0)
         transport.close()
         assert proc.wait(timeout=15) == 0
+
+
+def _raw_hello(port: int, **fields) -> socket.socket:
+    sock = socket.create_connection(("127.0.0.1", port))
+    sock.settimeout(10.0)
+    hello = {"type": "hello", "version": PROTOCOL_VERSION,
+             "slots": 1, "host": "raw", "pid": 1}
+    hello.update(fields)
+    send_frame(sock, hello)
+    return sock
+
+
+def _closed_by_peer(sock: socket.socket) -> bool:
+    """True once the coordinator has closed its end (EOF or reset)."""
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+class TestHostileFrames:
+    """Hostile bytes on the wire cost the sender its connection, never a
+    coordinator thread or the batch."""
+
+    @pytest.fixture
+    def thread_errors(self, monkeypatch):
+        """Exceptions that escape any thread (the handler threads
+        included) during the test."""
+        errors = []
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: errors.append(args)
+        )
+        return errors
+
+    def test_malformed_hellos_are_closed_and_a_real_worker_finishes(
+        self, tcp_fabric, thread_errors
+    ):
+        serial_batch, serial_events = run_batch(SessionConfig(jobs=1))
+        transport = tcp_fabric(workers=0, min_workers=1)
+        bad_pid = _raw_hello(transport.port, pid="x")
+        huge_slots = _raw_hello(transport.port, slots=1e999)
+        deep = socket.create_connection(("127.0.0.1", transport.port))
+        deep.settimeout(10.0)
+        nested = b"[" * 100_000
+        deep.sendall(len(nested).to_bytes(4, "big") + nested)
+        for sock in (bad_pid, huge_slots, deep):
+            assert _closed_by_peer(sock)
+            sock.close()
+        proc = start_worker(transport.port)
+        batch, events = run_batch(SessionConfig(jobs=2, transport=transport))
+        assert_batches_identical(serial_batch, batch)
+        assert events == serial_events
+        assert len(batch.metrics.host_tasks()) == 1
+        transport.close()
+        assert proc.wait(timeout=15) == 0
+        assert thread_errors == []
+
+    def test_result_with_a_bad_id_reaps_its_sender(
+        self, tcp_fabric, thread_errors
+    ):
+        serial_batch, _ = run_batch(SessionConfig(jobs=1))
+        transport = tcp_fabric(workers=0, min_workers=1,
+                               heartbeat_timeout_s=30.0)
+        box = {}
+
+        def drive():
+            try:
+                box["batch"], _ = run_batch(
+                    SessionConfig(jobs=2, transport=transport)
+                )
+            except BaseException as err:  # pragma: no cover - surfaced below
+                box["error"] = err
+
+        thread = threading.Thread(target=drive)
+        fakes = []
+        for pid, bad_id in ((101, None), (102, "0"), (103, 10**6),
+                            (104, -1)):
+            fake = FakeWorker(transport.port, pid=pid)
+            if not fakes:
+                thread.start()
+            taken = fake.take_task()
+            result = {"type": "result", "epoch": taken["epoch"],
+                      "elapsed": 0.0, "payload": ""}
+            if bad_id is not None:
+                result["id"] = bad_id
+            send_frame(fake.sock, result)
+            assert _closed_by_peer(fake.sock)
+            fake.die()
+            fakes.append(fake)
+        proc = start_worker(transport.port)
+        thread.join(timeout=180)
+        assert not thread.is_alive(), "batch never completed after reaping"
+        assert "error" not in box, box.get("error")
+        assert_batches_identical(serial_batch, box["batch"])
+        # Each bad frame reaped its sender and requeued its task.
+        assert transport.requeue_log == [
+            (fake.label, ("egg-ok", 0)) for fake in fakes
+        ]
+        transport.close()
+        assert proc.wait(timeout=15) == 0
+        assert thread_errors == []
 
 
 class TestTcpCapacity:

@@ -1,12 +1,13 @@
 """The async/sync seam: one session loop, two faces.
 
-``Runner.run_single_test`` drives the *same* ``_drive_test_async``
-coroutine as ``run_single_test_async`` -- the sync face runs it over a
-never-yielding inline adapter.  Identity is therefore by construction,
-but these tests pin it observationally anyway: hypothesis-generated
-fuzz machines (the same generator the differential fuzzer uses) must
-produce byte-identical :class:`TestResult`\\ s through both entry
-points, with and without latency injection.
+``Runner.run_single_test`` is ``run_single_test_async`` driven to
+completion inline -- the session view is a never-yielding
+``SyncExecutorAdapter``.  Identity is therefore by construction, but
+these tests pin it observationally anyway: hypothesis-generated fuzz
+machines (the same generator the differential fuzzer uses) must produce
+byte-identical :class:`TestResult`\\ s through both entry points, with
+and without latency injection.  Both entry points lease from the same
+synchronous :class:`ExecutorCache`, so warmth carries across them.
 """
 
 import asyncio
@@ -80,10 +81,8 @@ class TestAsyncSyncEquivalence:
         wrapped = asyncio.run(
             runner.run_single_test_async(
                 random.Random(test_seed),
-                executor_factory=lambda: LatencyExecutor(
-                    SyncExecutorAdapter(runner.executor_factory()),
-                    latency_ms=0,
-                    seed=seed,
+                wrap=lambda executor: LatencyExecutor(
+                    executor, latency_ms=0, seed=seed
                 ),
             )
         )
@@ -98,8 +97,8 @@ class TestAsyncSyncEquivalence:
         async_result = asyncio.run(
             runner.run_single_test_async(
                 random.Random("egg/0"),
-                executor_factory=lambda: LatencyExecutor(
-                    DomExecutor(egg_timer_app()), latency_ms=2, seed=1
+                wrap=lambda executor: LatencyExecutor(
+                    executor, latency_ms=2, seed=1
                 ),
             )
         )
@@ -113,12 +112,12 @@ class TestAsyncSyncEquivalence:
 
         async def leased_pair():
             cache = ExecutorCache(enabled=True, depth=2)
-            lease = cache.async_lease(runner.executor_factory)
+            lease = cache.lease(runner.executor_factory)
             first = await runner.run_single_test_async(
                 random.Random(test_seed), lease=lease
             )
             cold_warm = lease.warm
-            lease = cache.async_lease(runner.executor_factory)
+            lease = cache.lease(runner.executor_factory)
             second = await runner.run_single_test_async(
                 random.Random(test_seed), lease=lease
             )
@@ -132,10 +131,90 @@ class TestAsyncSyncEquivalence:
         assert second_warm is True  # reused the parked session
 
 
+class TestSharedLease:
+    """One synchronous lease serves both entry points: warmth parked by
+    one is reused by the other, and a session's async view never
+    outlives the session."""
+
+    def test_sync_checkin_warms_the_async_entry_point(self):
+        campaign = generate_campaign(77, 0)
+        runner = _fuzz_runner(campaign, None)
+        test_seed = _test_seed(campaign.config().seed, 1)
+        cold = runner.run_single_test(random.Random(test_seed))
+
+        cache = ExecutorCache(enabled=True)
+        try:
+            first = cache.lease(runner.executor_factory)
+            runner.run_single_test(
+                random.Random(_test_seed(campaign.config().seed, 0)),
+                lease=first,
+            )
+            second = cache.lease(runner.executor_factory)
+            warm = asyncio.run(runner.run_single_test_async(
+                random.Random(test_seed), lease=second
+            ))
+        finally:
+            cache.close()
+        assert first.warm is False
+        assert second.warm is True
+        assert _comparable(warm) == _comparable(cold)
+
+    def test_warm_latency_worker_session_draws_the_cold_delays(
+        self, monkeypatch
+    ):
+        """A worker session's LatencyExecutor view is seeded by its own
+        test index and built per session, so a warm session injects
+        exactly the delays a cold one does."""
+        from repro.api.transport.worker import _run_one
+        from repro.executors.base import LatencyExecutor as Latency
+
+        spec = load_eggtimer_spec().check_named("safety")
+        config = RunnerConfig(tests=2, scheduled_actions=4,
+                              demand_allowance=2, seed=5, shrink=False)
+        runner = Runner(spec, lambda: DomExecutor(egg_timer_app()), config)
+
+        class Runners:
+            def runner_for(self, descriptor):
+                return runner
+
+        draws = []
+        original = Latency.next_delay_ms
+
+        def recording(self):
+            delay = original(self)
+            draws.append(delay)
+            return delay
+
+        monkeypatch.setattr(Latency, "next_delay_ms", recording)
+
+        def session(cache, index):
+            frames = []
+            draws.clear()
+            asyncio.run(_run_one(
+                {"id": index, "epoch": 1,
+                 "body": {"runner": {}, "index": index}},
+                Runners(), cache, frames.append, 0.2,
+            ))
+            (frame,) = frames
+            assert frame["type"] == "result", frame
+            return frame, list(draws)
+
+        shared = ExecutorCache(enabled=True)
+        cold_first, _ = session(shared, 0)
+        warm, warm_draws = session(shared, 1)
+        cold, cold_draws = session(ExecutorCache(enabled=True), 1)
+        shared.close()
+        assert cold_first["cold_starts"] == 1
+        assert warm["warm_hits"] == 1
+        assert cold["cold_starts"] == 1
+        assert warm_draws and warm_draws == cold_draws
+
+
 class TestSeamGuards:
     """Misuse fails loudly rather than deadlocking or diverging."""
 
-    def test_sync_entry_rejects_async_factories(self):
+    @pytest.mark.parametrize("entry", ["sync", "async"])
+    def test_entry_points_reject_async_factories(self, entry):
         spec = load_eggtimer_spec().check_named("safety")
         runner = Runner(
             spec,
@@ -143,8 +222,11 @@ class TestSeamGuards:
             RunnerConfig(tests=1, scheduled_actions=4,
                          demand_allowance=4, seed=0, shrink=False),
         )
-        with pytest.raises(TypeError, match="run_single_test_async"):
-            runner.run_single_test(random.Random(0))
+        with pytest.raises(TypeError, match="AsyncExecutor"):
+            if entry == "sync":
+                runner.run_single_test(random.Random(0))
+            else:
+                asyncio.run(runner.run_single_test_async(random.Random(0)))
 
     def test_sync_lease_rejects_async_factories(self):
         from repro.protocol.messages import Start

@@ -3,12 +3,13 @@
 ``AsyncExecutor`` is the awaitable mirror of ``Executor``; these tests
 pin the two shipped wrappers:
 
-* ``SyncExecutorAdapter`` -- every protocol call delegates to the
-  wrapped synchronous executor (through the loop's thread pool) with
-  identical arguments and return values;
+* ``SyncExecutorAdapter`` -- every protocol call delegates inline to
+  the wrapped synchronous executor, with identical arguments and return
+  values, and never yields to the event loop;
 * ``LatencyExecutor`` -- injects *deterministic wall-clock* round-trip
-  delay while leaving virtual time, the trace, and the test's RNG
-  untouched; ``latency_ms=0`` is a pure pass-through.
+  delay around a synchronous executor while leaving virtual time, the
+  trace, and the test's RNG untouched; ``latency_ms=0`` draws no delay
+  but still yields once per wire call.
 """
 
 import asyncio
@@ -102,11 +103,6 @@ class TestSyncExecutorAdapter:
 
         drive(session())
 
-    def test_stop_nowait_stops_the_inner_executor(self):
-        inner = RecordingSync()
-        SyncExecutorAdapter(inner).stop_nowait()
-        assert inner.calls == [("stop",)]
-
     def test_recorder_reads_through(self):
         inner = RecordingSync()
         inner.recorder = object()
@@ -178,25 +174,35 @@ class TestLatencyExecutor:
         drive(session())
         assert wrapped.next_delay_ms() == probe.next_delay_ms()
 
-    def test_wraps_async_executors_too(self):
-        inner = SyncExecutorAdapter(RecordingSync())
-        wrapped = LatencyExecutor(inner, latency_ms=0, seed=0)
+    def test_wraps_synchronous_executors_only(self):
+        with pytest.raises(TypeError):
+            LatencyExecutor(SyncExecutorAdapter(RecordingSync()))
 
-        async def session():
-            assert await wrapped.drain() == ["m1", "m2"]
-            assert await wrapped.reset("r") is True
+    def test_zero_latency_yields_once_per_wire_call(self):
+        """The pass-through still hands the loop over at every
+        round-trip (so sessions sharing a loop interleave), and only
+        there: ``pass_time``/``stop`` are not wire calls."""
+        wrapped = LatencyExecutor(RecordingSync(), latency_ms=0)
+        calls = (
+            wrapped.start(Start(dependencies=frozenset(), events=())),
+            wrapped.drain(),
+            wrapped.act("a"),
+            wrapped.await_events(10.0),
+            wrapped.reset("r"),
+        )
+        for call in calls:
+            assert call.send(None) is None  # suspended exactly once
+            with pytest.raises(StopIteration):
+                call.send(None)
+        for call in (wrapped.pass_time(5.0), wrapped.stop()):
+            with pytest.raises(StopIteration):
+                call.send(None)
 
-        drive(session())
-
-    def test_stop_nowait_dispatches_by_protocol(self):
-        sync_inner = RecordingSync()
-        LatencyExecutor(sync_inner, latency_ms=0).stop_nowait()
-        assert sync_inner.calls == [("stop",)]
-        adapted = RecordingSync()
-        LatencyExecutor(
-            SyncExecutorAdapter(adapted), latency_ms=0
-        ).stop_nowait()
-        assert adapted.calls == [("stop",)]
+    def test_adapter_never_yields(self):
+        adapter = SyncExecutorAdapter(RecordingSync())
+        with pytest.raises(StopIteration) as done:
+            adapter.drain().send(None)
+        assert done.value.value == ["m1", "m2"]
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

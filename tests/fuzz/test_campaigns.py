@@ -6,6 +6,7 @@ import pytest
 
 from repro.fuzz import campaigns as campaigns_module
 from repro.fuzz.campaigns import (
+    async_leg_engine,
     generate_campaign,
     run_campaign,
     run_fuzz,
@@ -49,6 +50,29 @@ class TestRunCampaign:
             assert outcome.tests_run > 0
             detections.extend(outcome.detections)
         assert detections  # at least one faulty twin was injected
+
+    def test_async_leg_interleaves_sessions(self):
+        """The async leg checks the interleaved schedule only if its
+        sessions genuinely overlap on the loop."""
+        from repro.api import PoolMetrics, SerialEngine
+        from repro.api.session import _coerce_executor_factory
+        from repro.checker import Runner
+        from repro.fuzz import machine_app
+
+        campaign = generate_campaign(SEED, 0)
+        factory = _coerce_executor_factory(machine_app(campaign.machine, None))
+        runner = Runner(campaign.check_spec(), factory, campaign.config())
+        assert runner.config.tests > 1
+        metrics = PoolMetrics(transport="async")
+        interleaved = async_leg_engine(metrics).run(runner)
+        assert metrics.inflight_sessions > 1
+        serial = SerialEngine().run(runner)
+        assert [r.verdict for r in interleaved.results] == [
+            r.verdict for r in serial.results
+        ]
+        assert [r.actions for r in interleaved.results] == [
+            r.actions for r in serial.results
+        ]
 
     def test_run_fuzz_is_deterministic(self):
         first = run_fuzz(seed=SEED, campaigns=3, jobs=JOBS)

@@ -51,6 +51,17 @@ from .wire import PROTOCOL_VERSION, FrameError, recv_frame, send_frame, unpack
 __all__ = ["TcpTransport"]
 
 
+def _decode_outcome(message: dict):
+    """A ``result``/``failure`` frame's ``(outcome, elapsed, warm_hits,
+    cold_starts)``; raises on any field that does not decode."""
+    payload = unpack(message["payload"])
+    elapsed = float(message.get("elapsed", 0.0))
+    if message["type"] == "failure":
+        return TaskFailure(payload), elapsed, 0, 0
+    return (payload, elapsed, int(message.get("warm_hits", 0)),
+            int(message.get("cold_starts", 0)))
+
+
 class _RemoteWorker:
     """Coordinator-side record of one connected worker slot."""
 
@@ -344,18 +355,20 @@ class TcpTransport(PoolTransport):
                     # tasks cannot be trusted to come back either.
                     reap(worker, f"bad task id {position!r}")
                     continue
+                # Decode before the pop: a frame that does not decode
+                # reaps its sender, and the reap requeues this task too.
+                try:
+                    outcome, elapsed, warm_hits, cold_starts = _decode_outcome(message)
+                except Exception as err:  # noqa: BLE001 - unpickling raises a zoo of types
+                    reap(worker, f"undecodable {mtype} for task {position}: {err!r}")
+                    continue
                 worker.in_flight.pop(position, None)
                 if tasks[position].id in outcomes:
                     continue  # completed by a requeue race
-                if mtype == "result":
-                    outcome = unpack(message["payload"])
-                    if metrics is not None:
-                        metrics.warm_hits += int(message.get("warm_hits", 0))
-                        metrics.cold_starts += int(message.get("cold_starts", 0))
-                else:
-                    outcome = TaskFailure(unpack(message["payload"]))
-                settle(position, outcome, worker,
-                       float(message.get("elapsed", 0.0)))
+                if metrics is not None:
+                    metrics.warm_hits += warm_hits
+                    metrics.cold_starts += cold_starts
+                settle(position, outcome, worker, elapsed)
         self.last_workers = list(self._workers)
         return outcomes
 

@@ -89,7 +89,9 @@ def read_header(data: bytes, *, magic: bytes = MAGIC) -> Tuple[int, dict, int]:
         raise ArtifactFormatError(f"truncated {kind} header")
     try:
         header = json.loads(data[_PREFIX.size:end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: a deeply nested header (``[[[[...``) exhausts
+        # the JSON decoder's stack -- hostile bytes, like any other.
         raise ArtifactFormatError(f"unreadable {kind} header: {exc}") from exc
     if not isinstance(header, dict):
         raise ArtifactFormatError(f"{kind} header is not an object")

@@ -186,9 +186,9 @@ class Element(Node):
     @property
     def displayed(self) -> bool:
         """Is this element itself not hidden (ignoring ancestors)?"""
-        if self.style.get("display") == "none":
+        if "style" in self._attrs and self.style.get("display") == "none":
             return False
-        return not self.has_attribute("hidden")
+        return "hidden" not in self._attrs
 
     @property
     def visible(self) -> bool:

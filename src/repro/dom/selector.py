@@ -16,17 +16,40 @@ Supports the selector subset needed by acceptance-testing specifications
 The matcher is right-to-left, like production engines: the rightmost
 compound is matched against a candidate element and the remaining
 combinators walk outwards.
+
+Queries answer many selectors in one walk.  :func:`parse_selector` is
+memoised process-wide, so each distinct selector string is parsed once.
+A :class:`SelectorSet` files every complex selector under its rightmost
+compound's id, else its first class, else its tag, else in a universal
+bucket; :func:`query_many` then walks the tree once, iteratively, and
+tests each element only against the selectors filed under its own id,
+classes and tag plus the universal ones.  :func:`query_all` is
+:func:`query_many` over one selector: there is one matching path.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .node import Element
 
-__all__ = ["SelectorError", "parse_selector", "matches", "query_all", "query_one"]
+__all__ = [
+    "SelectorError",
+    "SelectorSet",
+    "parse_selector",
+    "matches",
+    "query_all",
+    "query_many",
+    "query_one",
+]
+
+#: Parsed selector lists kept by :func:`parse_selector`.  A spec names a
+#: few dozen selectors; the bound only stops a stream of distinct ones
+#: from growing the table without limit.
+PARSED_SELECTORS_MAX = 1024
 
 
 class SelectorError(ValueError):
@@ -111,8 +134,13 @@ _SUPPORTED_PSEUDOS = {
 }
 
 
+@functools.lru_cache(maxsize=PARSED_SELECTORS_MAX)
 def parse_selector(source: str) -> SelectorList:
-    """Parse a selector list; raises :class:`SelectorError` on bad input."""
+    """Parse a selector list; raises :class:`SelectorError` on bad input.
+
+    Results are shared process-wide (they are frozen); an error is not
+    cached and is raised again on every call.
+    """
     source = source.strip()
     if not source:
         raise SelectorError("empty selector")
@@ -268,10 +296,11 @@ def _matches_compound(element: Element, compound: Compound, document) -> bool:
         return False
     if compound.element_id is not None and element.id != compound.element_id:
         return False
-    element_classes = element.classes
-    for cls in compound.classes:
-        if cls not in element_classes:
-            return False
+    if compound.classes:
+        element_classes = element.classes
+        for cls in compound.classes:
+            if cls not in element_classes:
+                return False
     for test in compound.attributes:
         actual = element.get_attribute(test.name)
         if actual is None:
@@ -382,18 +411,92 @@ def matches(element: Element, selector, document=None) -> bool:
     return any(_matches_selector(element, s, document) for s in selector.selectors)
 
 
+class SelectorSet:
+    """Selectors filed for matching in one tree walk.
+
+    ``keys`` are the given selectors (strings or parsed lists), without
+    duplicates, in their first-seen order.  Each complex selector of
+    each key is filed once, under its rightmost compound's id, else its
+    first class, else its tag, else in the universal bucket, as a
+    ``(slot, selector)`` pair where ``slot`` indexes ``keys``.
+    """
+
+    __slots__ = ("keys", "by_id", "by_class", "by_tag", "universal")
+
+    def __init__(self, selectors: Iterable[object]) -> None:
+        self.keys = tuple(dict.fromkeys(selectors))
+        self.by_id: Dict[str, List[Tuple[int, Selector]]] = {}
+        self.by_class: Dict[str, List[Tuple[int, Selector]]] = {}
+        self.by_tag: Dict[str, List[Tuple[int, Selector]]] = {}
+        self.universal: List[Tuple[int, Selector]] = []
+        for slot, key in enumerate(self.keys):
+            parsed = parse_selector(key) if isinstance(key, str) else key
+            for complex_selector in parsed.selectors:
+                right = complex_selector.parts[-1]
+                if right.element_id is not None:
+                    bucket = self.by_id.setdefault(right.element_id, [])
+                elif right.classes:
+                    bucket = self.by_class.setdefault(right.classes[0], [])
+                elif right.tag is not None:
+                    bucket = self.by_tag.setdefault(right.tag, [])
+                else:
+                    bucket = self.universal
+                bucket.append((slot, complex_selector))
+
+
+def query_many(root: Element, selectors, document=None) -> Dict[object, List[Element]]:
+    """Every selector's matching descendants of ``root``, in document
+    order, from one walk of the tree.
+
+    ``selectors`` is an iterable of selectors (strings or parsed) or a
+    prebuilt :class:`SelectorSet`; the result maps each of its keys to
+    its matches.  An element matched by several alternatives of one
+    selector list is listed once.
+    """
+    if not isinstance(selectors, SelectorSet):
+        selectors = SelectorSet(selectors)
+    found: List[List[Element]] = [[] for _ in selectors.keys]
+    if not found:
+        return {}
+    by_id, by_class, by_tag = selectors.by_id, selectors.by_class, selectors.by_tag
+    universal = selectors.universal
+    stack = root.children[::-1]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, Element):
+            continue
+        if node.children:
+            stack.extend(node.children[::-1])
+        buckets = [universal] if universal else []
+        if by_id:
+            bucket = by_id.get(node.id)
+            if bucket:
+                buckets.append(bucket)
+        if by_class:
+            for cls in node.classes:
+                bucket = by_class.get(cls)
+                if bucket:
+                    buckets.append(bucket)
+        if by_tag:
+            bucket = by_tag.get(node.tag)
+            if bucket:
+                buckets.append(bucket)
+        for bucket in buckets:
+            for slot, complex_selector in bucket:
+                out = found[slot]
+                if out and out[-1] is node:
+                    continue  # another alternative of this list matched
+                if _matches_selector(node, complex_selector, document):
+                    out.append(node)
+    return dict(zip(selectors.keys, found))
+
+
 def query_all(root: Element, selector, document=None) -> List[Element]:
     """All descendant elements of ``root`` matching, in document order."""
-    if isinstance(selector, str):
-        selector = parse_selector(selector)
-    return [el for el in root.iter_elements() if matches(el, selector, document)]
+    return query_many(root, (selector,), document)[selector]
 
 
 def query_one(root: Element, selector, document=None) -> Optional[Element]:
     """The first matching descendant element, or None."""
-    if isinstance(selector, str):
-        selector = parse_selector(selector)
-    for el in root.iter_elements():
-        if matches(el, selector, document):
-            return el
-    return None
+    found = query_all(root, selector, document)
+    return found[0] if found else None

@@ -9,6 +9,15 @@ Snapshot discipline: a state is snapshotted immediately after the
 triggering activity (action performed, event batch fired, timeout
 elapsed) and is deeply immutable, so later DOM changes cannot leak into
 already-reported states.
+
+One walk per snapshot: the dependency and watched selectors are parsed
+and filed into a :class:`~repro.dom.selector.SelectorSet` once per
+session (``start``/``reset``), and each snapshot answers all of them in
+a single :func:`~repro.dom.selector.query_many` walk.  Each matched
+element is snapshotted once per state; every selector that matched it
+shares that :class:`ElementSnapshot`.  The same walk refreshes the
+``changed?`` baseline, and the watch check between deadlines walks only
+for the watched selectors.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..browser.webdriver import Browser, NotInteractableError, Page
+from ..dom.selector import SelectorSet, query_many
 from ..protocol.messages import Acted, Act, Event, Reset, Start, Timeout
 from ..protocol.session import TraceRecorder
 from ..specstrom.actions import PrimitiveEvent, ResolvedAction
@@ -39,6 +49,8 @@ class DomExecutor(Executor):
         self._outbox: List[object] = []
         self._dependencies: Tuple[str, ...] = ()
         self._watched: Tuple[Tuple[str, PrimitiveEvent], ...] = ()
+        self._observed = SelectorSet(())  # dependencies and watched selectors
+        self._watch_set = SelectorSet(())  # watched selectors alone
         self._last_watch_state: Dict[str, Tuple[ElementSnapshot, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -46,11 +58,9 @@ class DomExecutor(Executor):
     # ------------------------------------------------------------------
 
     def start(self, start: Start) -> None:
-        self._dependencies = tuple(sorted(start.dependencies))
-        self._watched = tuple(start.events)
+        self._observe(start.dependencies, start.events)
         self.browser = Browser(self._app_factory)
         self.browser.load()
-        self._remember_watches()
         self._report("event", ("loaded?",))
 
     def reset(self, reset: Reset) -> bool:
@@ -66,13 +76,10 @@ class DomExecutor(Executor):
         """
         if self.browser is None:
             return False  # never started; nothing warm to reuse
-        self._dependencies = tuple(sorted(reset.dependencies))
-        self._watched = tuple(reset.events)
+        self._observe(reset.dependencies, reset.events)
         self.recorder = TraceRecorder()
         self._outbox = []
-        self._last_watch_state = {}
         self.browser.reset()
-        self._remember_watches()
         self._report("event", ("loaded?",))
         return True
 
@@ -88,7 +95,6 @@ class DomExecutor(Executor):
         happened: Tuple[str, ...] = (act.name,)
         if act.action.kind == "reload":
             happened = (act.name, "loaded?")
-            self._remember_watches()
         self._report("acted", happened)
         return True
 
@@ -165,24 +171,39 @@ class DomExecutor(Executor):
     # Snapshots and event watching
     # ------------------------------------------------------------------
 
-    def _snapshot(self, happened: Tuple[str, ...]) -> StateSnapshot:
-        browser = self._require_browser()
-        document = browser.document
-        queries = {}
-        for selector in self._dependencies:
-            queries[selector] = tuple(
-                ElementSnapshot.of_element(el, document)
-                for el in document.query_all(selector)
-            )
-        return StateSnapshot(
-            queries=queries,
+    def _observe(self, dependencies, events) -> None:
+        """Take a new session's dependency set and watched events."""
+        self._dependencies = tuple(sorted(dependencies))
+        self._watched = tuple(events)
+        watched = [event.selector for _, event in self._watched
+                   if event.selector is not None]
+        self._observed = SelectorSet(self._dependencies + tuple(watched))
+        self._watch_set = SelectorSet(watched)
+
+    def _capture(self, selectors: SelectorSet) -> Dict[str, Tuple[ElementSnapshot, ...]]:
+        """One walk answering every selector; one snapshot per element."""
+        document = self._require_browser().document
+        shared: Dict[object, ElementSnapshot] = {}
+
+        def snapshot(element) -> ElementSnapshot:
+            taken = shared.get(element)
+            if taken is None:
+                taken = shared[element] = ElementSnapshot.of_element(element, document)
+            return taken
+
+        return {
+            css: tuple(snapshot(el) for el in elements)
+            for css, elements in query_many(document.root, selectors, document).items()
+        }
+
+    def _report(self, kind: str, happened: Tuple[str, ...]) -> None:
+        captured = self._capture(self._observed)
+        state = StateSnapshot(
+            queries={css: captured[css] for css in self._dependencies},
             happened=happened,
             version=self.recorder.length + 1,
             timestamp_ms=self._clock_now(),
         )
-
-    def _report(self, kind: str, happened: Tuple[str, ...]) -> None:
-        state = self._snapshot(happened)
         self.recorder.append(kind, happened, state)
         if kind == "acted":
             self._outbox.append(Acted(happened[0], state))
@@ -190,32 +211,18 @@ class DomExecutor(Executor):
             self._outbox.append(Timeout(state))
         else:
             self._outbox.append(Event(happened[0] if happened else "event?", state))
-        self._remember_watches()
-
-    def _watch_snapshot(self, css: str) -> Tuple[ElementSnapshot, ...]:
-        browser = self._require_browser()
-        document = browser.document
-        return tuple(
-            ElementSnapshot.of_element(el, document) for el in document.query_all(css)
-        )
-
-    def _remember_watches(self) -> None:
-        self._last_watch_state = {
-            event.selector: self._watch_snapshot(event.selector)
-            for _, event in self._watched
-            if event.selector is not None
-        }
+        # The changed? baseline: what the watched selectors match now.
+        self._last_watch_state = {css: captured[css] for css in self._watch_set.keys}
 
     def _changed_watches(self) -> Tuple[str, ...]:
         """Names of watched events whose selector state changed."""
-        changed: List[str] = []
-        for name, event in self._watched:
-            if event.selector is None:
-                continue
-            current = self._watch_snapshot(event.selector)
-            if current != self._last_watch_state.get(event.selector):
-                changed.append(name)
-        return tuple(changed)
+        current = self._capture(self._watch_set)
+        return tuple(
+            name
+            for name, event in self._watched
+            if event.selector is not None
+            and current[event.selector] != self._last_watch_state.get(event.selector)
+        )
 
     def _advance_with_watching(self, target_ms: float, stop_on_event: bool = False) -> bool:
         """Advance time deadline-by-deadline, reporting watched changes.

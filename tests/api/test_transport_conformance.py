@@ -21,8 +21,8 @@ hand-rolled fake worker speaking the wire protocol:
 * ``KeyboardInterrupt`` mid-batch tears the fabric down cleanly
   (workers exit 0, nothing hangs);
 * hostile frames -- a malformed hello, a 100k-deep frame, a result
-  naming no valid task -- cost the sender its connection while the
-  batch completes;
+  naming no valid task, a result whose payload or counters do not
+  decode -- cost the sender its connection while the batch completes;
 * one live transport serves many batches (the epoch logic).
 """
 
@@ -46,6 +46,7 @@ from repro.api import (
 )
 from repro.api.transport.wire import (
     PROTOCOL_VERSION,
+    pack,
     recv_frame,
     send_frame,
 )
@@ -422,6 +423,63 @@ class TestHostileFrames:
         assert not thread.is_alive(), "batch never completed after reaping"
         assert "error" not in box, box.get("error")
         assert_batches_identical(serial_batch, box["batch"])
+        # Each bad frame reaped its sender and requeued its task.
+        assert transport.requeue_log == [
+            (fake.label, ("egg-ok", 0)) for fake in fakes
+        ]
+        transport.close()
+        assert proc.wait(timeout=15) == 0
+        assert thread_errors == []
+
+
+    #: Result/failure frames with a valid id whose fields do not decode,
+    #: and the error each raised in the coordinator before it reaped.
+    UNDECODABLE = (
+        ("result", {"payload": "!!"}),  # EOFError: empty pickle
+        ("result", {"payload": "a"}),  # binascii.Error: bad padding
+        ("result", {"payload": "gAVqdW5r"}),  # UnpicklingError
+        ("result", {"payload": 5}),  # AttributeError: not a string
+        ("result", {}),  # KeyError: no payload
+        ("result", {"payload": pack(None), "elapsed": "soon"}),  # ValueError
+        ("result", {"payload": pack(None), "warm_hits": 1e999}),  # OverflowError
+        ("result", {"payload": pack(None), "cold_starts": [1]}),  # TypeError
+        ("failure", {"payload": "!!"}),
+    )
+
+    def test_result_that_does_not_decode_reaps_its_sender(
+        self, tcp_fabric, thread_errors
+    ):
+        serial_batch, serial_events = run_batch(SessionConfig(jobs=1))
+        transport = tcp_fabric(workers=0, min_workers=1,
+                               heartbeat_timeout_s=30.0)
+        box = {}
+
+        def drive():
+            try:
+                box["batch"], box["events"] = run_batch(
+                    SessionConfig(jobs=2, transport=transport)
+                )
+            except BaseException as err:  # pragma: no cover - surfaced below
+                box["error"] = err
+
+        thread = threading.Thread(target=drive)
+        fakes = []
+        for pid, (mtype, fields) in enumerate(self.UNDECODABLE, start=201):
+            fake = FakeWorker(transport.port, pid=pid)
+            if not fakes:
+                thread.start()
+            taken = fake.take_task()
+            send_frame(fake.sock, dict(fields, type=mtype, id=taken["id"],
+                                       epoch=taken["epoch"]))
+            assert _closed_by_peer(fake.sock)
+            fake.die()
+            fakes.append(fake)
+        proc = start_worker(transport.port)
+        thread.join(timeout=180)
+        assert not thread.is_alive(), "batch never completed after reaping"
+        assert "error" not in box, box.get("error")
+        assert_batches_identical(serial_batch, box["batch"])
+        assert box["events"] == serial_events
         # Each bad frame reaped its sender and requeued its task.
         assert transport.requeue_log == [
             (fake.label, ("egg-ok", 0)) for fake in fakes

@@ -131,3 +131,73 @@ class TestIndexResolution:
             el for el in message.state.queries[".b"] if el.focused
         ]
         assert clicked and clicked[0].attribute("data-n") == "2"
+
+
+class TestOneWalkSnapshots:
+    """Counted, not timed: a snapshot is one walk of the tree whatever
+    the dependency-set size, each selector string is parsed once per
+    process, and an element matched by several selectors is snapshotted
+    once per state."""
+
+    @pytest.fixture()
+    def walks(self, monkeypatch):
+        from repro.dom import Document
+        from repro.dom.node import Element as DomElement
+        from repro.executors import domexec
+
+        calls = []
+        one_walk = domexec.query_many
+
+        def counting(root, selectors, document=None):
+            calls.append(len(selectors.keys))
+            return one_walk(root, selectors, document)
+
+        def forbidden(*args, **kwargs):  # pragma: no cover - fails the test
+            raise AssertionError("a snapshot walked the tree per selector")
+
+        monkeypatch.setattr(domexec, "query_many", counting)
+        monkeypatch.setattr(Document, "query_all", forbidden)
+        monkeypatch.setattr(DomElement, "iter_elements", forbidden)
+        return calls
+
+    @pytest.mark.parametrize("dependencies", [
+        {"#go"},
+        {"#go", "#field", "#secret", "button", "input", "span, #ghost", "*"},
+    ])
+    def test_one_walk_per_snapshot(self, walks, dependencies):
+        from repro.specstrom.actions import PrimitiveEvent
+
+        watched = (("changed?", PrimitiveEvent("changed", "#secret")),)
+        ex = DomExecutor(form_app)
+        ex.start(Start(frozenset(dependencies), watched))
+        assert len(ex.drain()) == 1
+        # The loaded state (and the changed? baseline it refreshes).
+        assert walks == [len(dependencies | {"#secret"})]
+        for version in (1, 2, 3):
+            walks.clear()
+            ex.act(Act(ResolvedAction("noop", None, None, ()), "wait!", version))
+            assert walks == [len(dependencies | {"#secret"})]
+        assert len(ex.drain()) == 3
+
+    def test_each_selector_is_parsed_once_per_process(self):
+        from repro.dom import parse_selector
+        from repro.protocol.messages import Reset
+
+        parse_selector.cache_clear()
+        dependencies = frozenset({"#field", "#go", "span, #ghost"})
+        ex = DomExecutor(form_app)
+        ex.start(Start(dependencies))
+        for version in range(1, 6):
+            ex.act(act("click", "#go", version=version))
+        ex.reset(Reset(dependencies))
+        ex.act(act("input", "#field", "x", version=1))
+        assert parse_selector.cache_info().misses == len(dependencies)
+
+    def test_selectors_matching_one_element_share_its_snapshot(self):
+        ex = DomExecutor(form_app)
+        ex.start(Start(frozenset({"#go", "button", "button:not(#ghost)"})))
+        (loaded,) = ex.drain()
+        by_id = loaded.state.queries["#go"][0]
+        assert loaded.state.queries["button"][0] is by_id
+        assert loaded.state.queries["button:not(#ghost)"] == (by_id,)
+        assert loaded.state.queries["button"][1].attribute("id") == "ghost"
